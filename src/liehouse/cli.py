@@ -8,8 +8,10 @@ output bytes.
 
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
-error (missing or malformed files, bad expressions or descriptors,
-inadmissible parameters outside validate, singular candidates).
+error (missing or malformed files, bad expressions or descriptors, an E
+with atoms other than x, y and parameters, inadmissible parameters
+outside validate, non-finite --dt, --tol, --grid or --init values,
+singular candidates, zero tests without a finite sample point).
 """
 
 from __future__ import annotations
@@ -18,18 +20,17 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .closure import check_closure
+from .closure import CROSS_VARIANTS, check_closure
 from .evapo import (
-    PoleError, default_grid, descriptor_to_expr, make_grid, verify_candidate,
+    default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
 from .homology import StructureMatrix, build_algebra, homology_report
 from .model import (
     ControlSchedule, InvalidParamsError, Params, simulate, validate_params,
 )
-from .symbolic import to_text
+from .symbolic import SymbolicError, to_text
 
 
 @dataclass
@@ -41,7 +42,6 @@ class RunConfig:
     params: Optional[str] = None
     e: Optional[str] = None
     c: str = "identity"
-    mode: str = "symbolic"
     cross: str = "bracket_1"
     seed: int = 0
     out: Optional[str] = None
@@ -158,8 +158,8 @@ def _cmd_bracket(config: RunConfig) -> int:
 def _cmd_closure(config: RunConfig) -> int:
     p = _admissible_params(config)
     e = descriptor_to_expr(p, config.e) if config.e else None
-    report = check_closure(p, e, mode=config.mode,
-                           cross_variant=config.cross, seed=config.seed)
+    report = check_closure(p, e, cross_variant=config.cross,
+                           seed=config.seed)
     payload = {"command": "closure"}
     payload.update(report.to_dict())
     _emit_json(payload, config.out)
@@ -264,16 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("closure", help="full closure scan")
     add_common(sp, params=True, e=True)
-    sp.add_argument("--mode", choices=("symbolic", "numeric"),
-                    default="symbolic")
-    sp.add_argument("--cross", choices=("bracket_1", "paper_2"),
-                    default="bracket_1",
+    sp.add_argument("--cross", choices=CROSS_VARIANTS, default="bracket_1",
                     help="mixed-partial coefficient variant of Delta_ij")
 
     sp = sub.add_parser("check-e", help="measure an E candidate on a grid")
     add_common(sp, params=True, e=True, grid=True)
-    sp.add_argument("--cross", choices=("bracket_1", "paper_2"),
-                    default="bracket_1")
+    sp.add_argument("--cross", choices=CROSS_VARIANTS, default="bracket_1")
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="pass tolerance (default 1e-9)")
 
@@ -285,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="fixed-step trajectory CSV")
     add_common(sp, params=True, e=True)
-    sp.add_argument("--init", default="0,0,0", help='"x,y,z" start state')
+    sp.add_argument("--init", default="0,0,0",
+                    help='"x,y,z" start state; write a negative first '
+                    'value as --init=-0.5,0,0')
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--ctrl", help="JSON control schedule "
@@ -300,7 +298,7 @@ def main(argv=None) -> int:
     config = RunConfig(**fields)
     try:
         return run(config)
-    except (OSError, ValueError, InvalidParamsError, PoleError) as err:
+    except (OSError, ValueError, SymbolicError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -29,15 +29,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .fields import VectorField, apply_to_scalar, lie_bracket, proportional_to
 from .homology import rank_exact
 from .model import Params, build_fields
 from .symbolic import (
-    E, Expr, as_expr, base_atoms, differentiate, epartial, eval_numeric,
-    has_transcendental, is_zero, substitute, to_text,
-    _FUNC, _RECIP,
+    E, Expr, all_atoms, as_expr, base_atoms, differentiate, epartial,
+    eval_numeric, has_transcendental, is_zero, substitute, to_text, _RECIP,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -73,16 +73,22 @@ def _check_variant(cross_variant: str) -> None:
 def _check_index(*indices: int) -> None:
     for i in indices:
         if i not in _INDICES:
-            raise ValueError(f"field index must be 1, 2 or 3, got {i}")
+            raise ValueError(f"index must be 1, 2 or 3, got {i}")
 
 
 class ClosureEngine:
     """Caches the model fields and repeated brackets for one (params, E)
     pair.  e_binding None leaves E formal; otherwise E and all of its
-    partials are replaced by the bound expression and its derivatives."""
+    partials are replaced by the bound expression and its derivatives.
+    cross_variant selects the Delta_ij route: the bracket for
+    "bracket_1", the doubled coefficient expansion for "paper_2"; every
+    operator built on Delta_ij follows that choice."""
 
-    def __init__(self, p: Params, e_binding: Optional[Expr] = None):
+    def __init__(self, p: Params, e_binding: Optional[Expr] = None,
+                 cross_variant: str = "bracket_1"):
+        _check_variant(cross_variant)
         self.params = p
+        self.cross_variant = cross_variant
         if e_binding is not None and not p.is_symbolic():
             e_binding = substitute(e_binding, p.bindings())
         self.e_binding = e_binding
@@ -119,12 +125,17 @@ class ClosureEngine:
         return phi
 
     def delta(self, i: int, j: int) -> Expr:
-        """Scalar of [f_i, [f0, f_j]] along B."""
+        """Scalar of [f_i, [f0, f_j]] along B, or its paper_2
+        coefficient expansion when that variant is selected."""
         _check_index(i, j)
         got = self._delta.get((i, j))
         if got is None:
-            br = lie_bracket(self.control(i), self.y(j))
-            got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
+            if self.cross_variant == "bracket_1":
+                br = lie_bracket(self.control(i), self.y(j))
+                got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
+            else:
+                got = delta_ij_formula(self.params, self.e_binding, i, j,
+                                       self.cross_variant)
             self._delta[(i, j)] = got
         return got
 
@@ -170,11 +181,6 @@ def delta_ij(p: Params, e: Optional[Expr], i: int, j: int) -> Expr:
     return ClosureEngine(p, e).delta(i, j)
 
 
-def _gamma_expr(p: Params, row: int, idx: int) -> Expr:
-    got = p.gamma_entry(row, idx)
-    return got if isinstance(got, Expr) else as_expr(got)
-
-
 def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
                      cross_variant: str = "bracket_1") -> Expr:
     """Coefficient expansion of delta_ij over the second partials of E.
@@ -186,7 +192,7 @@ def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
     _check_index(i, j)
 
     def g(row, idx):
-        return _gamma_expr(p, row, idx)
+        return as_expr(p.gamma_entry(row, idx))
 
     cross = g(1, i) * g(2, j) + g(2, i) * g(1, j)
     if cross_variant == "paper_2":
@@ -213,7 +219,7 @@ def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
     _check_index(i, j, k)
 
     def g(row, idx):
-        return _gamma_expr(p, row, idx)
+        return as_expr(p.gamma_entry(row, idx))
 
     def magic_sum(n):
         total = as_expr(0)
@@ -321,37 +327,28 @@ def _span_dim_at_point(engine: ClosureEngine, rng: random.Random) -> int:
 
 
 def check_closure(p: Params, e: Optional[Expr] = None,
-                  mode: str = "symbolic",
                   cross_variant: str = "bracket_1",
                   seed: int = 0) -> ClosureReport:
     """Scan all closure conditions and build the structure scalars.
 
-    mode "symbolic" keeps canonical forms and exact zero decisions on
-    the polynomial fragment; expressions containing reciprocal atoms
-    (for example the tanh quotient family) force "numeric", where zero
-    decisions come from seeded random evaluation.  The report records
-    the mode actually used.  All randomness flows from the single seed.
+    Zero decisions are exact on the polynomial fragment and sampled
+    from the single seed once transcendental or reciprocal atoms appear
+    (see is_zero).  The report's mode is a label of the input, not a
+    setting: "numeric" when a reciprocal atom occurs in E or in some
+    Delta_ij (the tanh quotient family, for instance), "symbolic"
+    otherwise.  A "symbolic" label does not mean every decision was
+    exact: a tanh, exp, sin or cos atom alone already makes is_zero
+    sample.
     """
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
-    _check_variant(cross_variant)
     rng = random.Random(seed)
-    engine = ClosureEngine(p, e)
+    engine = ClosureEngine(p, e, cross_variant)
 
-    c = [[None] * 3 for _ in range(3)]
-    for i in _INDICES:
-        for j in _INDICES:
-            if cross_variant == "bracket_1":
-                c[i - 1][j - 1] = engine.delta(i, j)
-            else:
-                c[i - 1][j - 1] = delta_ij_formula(p, engine.e_binding, i, j,
-                                                   cross_variant)
-
-    effective_mode = mode
-    scanned = [engine.e_binding] if engine.e_binding is not None else []
-    scanned += [c[i][j] for i in range(3) for j in range(3)]
-    if any(_has_recip(expr) for expr in scanned if expr is not None):
-        effective_mode = "numeric"
+    c = [[engine.delta(i, j) for j in _INDICES] for i in _INDICES]
+    scanned = [cij for row in c for cij in row]
+    if engine.e_binding is not None:
+        scanned.append(engine.e_binding)
+    recip = any(atom.kind == _RECIP
+                for expr in scanned for atom in all_atoms(expr))
 
     constant_ok = [[is_zero(differentiate(c[i][j], "x"), rng)
                     and is_zero(differentiate(c[i][j], "y"), rng)
@@ -359,14 +356,9 @@ def check_closure(p: Params, e: Optional[Expr] = None,
 
     delta3_zero = {}
     lambda_zero = {}
-    for i in _INDICES:
-        for j in _INDICES:
-            cij = c[i - 1][j - 1]
-            for k in _INDICES:
-                d3 = apply_to_scalar(engine.control(k), cij)
-                delta3_zero[(i, j, k)] = is_zero(d3, rng)
-                lam = engine.lam_with(k, cij, f"Delta_{i}{j}")
-                lambda_zero[(i, j, k)] = is_zero(lam, rng)
+    for ijk in product(_INDICES, repeat=3):
+        delta3_zero[ijk] = is_zero(engine.delta3(*ijk), rng)
+        lambda_zero[ijk] = is_zero(engine.lam(*ijk), rng)
 
     b_central = [is_zero(engine.b_drift_factor(k), rng) for k in _INDICES]
 
@@ -384,17 +376,5 @@ def check_closure(p: Params, e: Optional[Expr] = None,
         c=c, constant_ok=constant_ok, delta3_zero=delta3_zero,
         lambda_zero=lambda_zero, b_central=b_central,
         realized_span_dim=span_dim, heisenberg=heisenberg,
-        mode=effective_mode, cross_variant=cross_variant, seed=seed)
-
-
-def _has_recip(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        for m, _ in cur.terms:
-            for atom, _k in m:
-                if atom.kind == _RECIP:
-                    return True
-                if atom.kind == _FUNC:
-                    stack.append(atom.data[1])
-    return False
+        mode="numeric" if recip else "symbolic",
+        cross_variant=cross_variant, seed=seed)

@@ -24,31 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
-from .closure import ClosureEngine, _check_variant, delta_ij_formula
-from .fields import apply_to_scalar
+from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
 from .parsing import parse
 from .symbolic import (
-    Expr, as_expr, base_atoms, eval_numeric, substitute, tanh, var, _VAR,
+    Expr, as_expr, base_atoms, eval_numeric, substitute, tanh, var,
+    _PARAM, _VAR,
 )
-
-_INDICES = (1, 2, 3)
 
 
 class PoleError(ValueError):
     """The candidate E (or a derivative) is singular on the grid."""
-
-
-def _rat(v) -> Fraction:
-    return Fraction(v)
-
-
-def _check_family_index(*indices: int) -> None:
-    for i in indices:
-        if i not in _INDICES:
-            raise ValueError(f"family index must be 1, 2 or 3, got {i}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,8 @@ class TanhConstants:
 
     @classmethod
     def of(cls, c1, c2, c3, c4, i: int) -> "TanhConstants":
-        _check_family_index(i)
-        out = cls(_rat(c1), _rat(c2), _rat(c3), _rat(c4), i)
+        _check_index(i)
+        out = cls(Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4), i)
         if out.c3 == 0 and out.c4 == 0:
             raise ValueError("C3 and C4 cannot both vanish")
         return out
@@ -73,15 +62,13 @@ class TanhConstants:
 def e_tanh(p: Params, c: TanhConstants) -> Expr:
     """The tanh quotient candidate.  Needs gamma_1i nonzero (it divides
     the argument); the result is constant along the i-th line."""
-    g1 = p.gamma_entry(1, c.i)
-    g2 = p.gamma_entry(2, c.i)
-    if not isinstance(g1, Expr) and g1 == 0:
+    g1 = as_expr(p.gamma_entry(1, c.i))
+    g2 = as_expr(p.gamma_entry(2, c.i))
+    if g1 == 0:
         raise ValueError(f"gamma_1{c.i} must be nonzero")
-    g1e = g1 if isinstance(g1, Expr) else as_expr(g1)
-    g2e = g2 if isinstance(g2, Expr) else as_expr(g2)
     x, y = var("x"), var("y")
-    arg = (as_expr(c.c1) * g1e - as_expr(c.c2) * g2e * x
-           + as_expr(c.c2) * g1e * y) / g1e
+    arg = (as_expr(c.c1) * g1 - as_expr(c.c2) * g2 * x
+           + as_expr(c.c2) * g1 * y) / g1
     denom = as_expr(c.c4) + as_expr(c.c3) * tanh(arg)
     return 1 / denom
 
@@ -91,12 +78,11 @@ class CharacteristicFamily:
     """Shapes composed with characteristic lines.
 
     f1, f2 (and optionally f3) are expressions in the single formal
-    variable x; composition replaces that variable by the line of the
-    matching index.  f1 rides the j-line and f2 the i-line, the order
-    the two-shape solution is usually written in; the three-shape
-    variant pairs (f1, f2, f3) with (i, j, k).  diagonal_term adds
-    x^2 / (2 gamma_1i gamma_1j) and is meaningful for the two-shape
-    family only.
+    variable x; composition replaces that variable by a characteristic
+    line.  f1 goes with the j-line, f2 with the i-line and f3 with the
+    k-line, the order the two-shape solution is usually written in.
+    diagonal_term adds x^2 / (2 gamma_1i gamma_1j) and is meaningful
+    for the two-shape family only.
     """
 
     f1: Expr
@@ -108,11 +94,11 @@ class CharacteristicFamily:
     diagonal_term: bool = False
 
     def __post_init__(self):
-        _check_family_index(self.i, self.j)
+        _check_index(self.i, self.j)
         if (self.f3 is None) != (self.k is None):
             raise ValueError("f3 and k must be given together")
         if self.k is not None:
-            _check_family_index(self.k)
+            _check_index(self.k)
             if self.diagonal_term:
                 raise ValueError(
                     "diagonal_term belongs to the two-shape family")
@@ -128,12 +114,10 @@ class CharacteristicFamily:
 def characteristic_line(p: Params, idx: int) -> Expr:
     """-gamma_2idx x + gamma_1idx y, annihilated by the idx-th
     directional operator."""
-    _check_family_index(idx)
-    g1 = p.gamma_entry(1, idx)
-    g2 = p.gamma_entry(2, idx)
-    g1e = g1 if isinstance(g1, Expr) else as_expr(g1)
-    g2e = g2 if isinstance(g2, Expr) else as_expr(g2)
-    return -g2e * var("x") + g1e * var("y")
+    _check_index(idx)
+    g1 = as_expr(p.gamma_entry(1, idx))
+    g2 = as_expr(p.gamma_entry(2, idx))
+    return -g2 * var("x") + g1 * var("y")
 
 
 def e_characteristic(p: Params, fam: CharacteristicFamily) -> Expr:
@@ -145,11 +129,9 @@ def e_characteristic(p: Params, fam: CharacteristicFamily) -> Expr:
     if fam.f3 is not None:
         out = out + substitute(fam.f3, {x: characteristic_line(p, fam.k)})
     if fam.diagonal_term:
-        g1i = p.gamma_entry(1, fam.i)
-        g1j = p.gamma_entry(1, fam.j)
-        g1ie = g1i if isinstance(g1i, Expr) else as_expr(g1i)
-        g1je = g1j if isinstance(g1j, Expr) else as_expr(g1j)
-        out = out + x ** 2 / (2 * g1ie * g1je)
+        g1i = as_expr(p.gamma_entry(1, fam.i))
+        g1j = as_expr(p.gamma_entry(1, fam.j))
+        out = out + x ** 2 / (2 * g1i * g1j)
     return out
 
 
@@ -216,12 +198,22 @@ def parse_descriptor(text: str):
 
 
 def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
+    """The candidate E a descriptor names.  E is a function of x, y and
+    the model parameters only; any other atom (z, E or one of its
+    partials) raises ValueError."""
     parsed = parse_descriptor(descriptor)
     if isinstance(parsed, TanhConstants):
-        return e_tanh(p, parsed)
-    if isinstance(parsed, CharacteristicFamily):
-        return e_characteristic(p, parsed)
-    return parsed
+        e = e_tanh(p, parsed)
+    elif isinstance(parsed, CharacteristicFamily):
+        e = e_characteristic(p, parsed)
+    else:
+        e = parsed
+    for atom in sorted(base_atoms(e), key=lambda a: a.key):
+        if not (atom.kind == _PARAM
+                or (atom.kind == _VAR and atom.data in ("x", "y"))):
+            raise ValueError(
+                f"E may depend on x, y and parameters only; found {atom!r}")
+    return e
 
 
 # -- measurement -------------------------------------------------------
@@ -231,6 +223,8 @@ def make_grid(nx: int, ny: int, x0: float, x1: float,
     """nx by ny uniform grid, inclusive of both ends."""
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one point per axis")
+    if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
+        raise ValueError("grid bounds must be finite")
     xs = [x0 + (x1 - x0) * t / (nx - 1) for t in range(nx)] if nx > 1 \
         else [x0]
     ys = [y0 + (y1 - y0) * t / (ny - 1) for t in range(ny)] if ny > 1 \
@@ -329,33 +323,25 @@ def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
     deterministic.  A pole of the candidate (or its derivatives) on the
     grid raises PoleError naming the first failing point.
     """
-    _check_variant(cross_variant)
     if grid is None:
         grid = default_grid()
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    engine = ClosureEngine(p, e)
+    engine = ClosureEngine(p, e, cross_variant)
     delta_m = {}
     delta3_m = {}
     lam_m = {}
-    for i in _INDICES:
-        for j in _INDICES:
-            if cross_variant == "bracket_1":
-                cij = engine.delta(i, j)
-            else:
-                cij = delta_ij_formula(p, engine.e_binding, i, j,
-                                       cross_variant)
-            target = 1.0 if i == j else 0.0
-            delta_m[(i, j)] = _measure(cij, grid, target, tol)
-            for k in _INDICES:
-                d3 = apply_to_scalar(engine.control(k), cij)
-                delta3_m[(i, j, k)] = _measure(d3, grid, 0.0, tol)
-                lam = engine.lam_with(k, cij, f"Delta_{i}{j}")
-                lam_m[(i, j, k)] = _measure(lam, grid, 0.0, tol)
+    for i, j in product(_INDICES, repeat=2):
+        target = 1.0 if i == j else 0.0
+        delta_m[(i, j)] = _measure(engine.delta(i, j), grid, target, tol)
+        for k in _INDICES:
+            delta3_m[(i, j, k)] = _measure(engine.delta3(i, j, k), grid,
+                                           0.0, tol)
+            lam_m[(i, j, k)] = _measure(engine.lam(i, j, k), grid, 0.0, tol)
 
     passed = (all(m.passed for m in delta_m.values())
               and all(m.passed for m in delta3_m.values())

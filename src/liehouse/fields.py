@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .symbolic import Expr, ZERO, as_expr, differentiate
+from .symbolic import (
+    Expr, ZERO, as_expr, differentiate, to_text, _has_negative_power,
+)
 
 _COORDS = ("x", "y", "z")
-
-
-def _expr(v) -> Expr:
-    return v if isinstance(v, Expr) else as_expr(v)
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,7 @@ class VectorField:
 
     @staticmethod
     def of(cx, cy, cz) -> "VectorField":
-        return VectorField(_expr(cx), _expr(cy), _expr(cz))
+        return VectorField(as_expr(cx), as_expr(cy), as_expr(cz))
 
     def components(self):
         return (self.cx, self.cy, self.cz)
@@ -41,7 +39,7 @@ class VectorField:
         return not (self.cx.terms or self.cy.terms or self.cz.terms)
 
     def scaled(self, phi) -> "VectorField":
-        phi = _expr(phi)
+        phi = as_expr(phi)
         return VectorField(phi * self.cx, phi * self.cy, phi * self.cz)
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -64,7 +62,7 @@ ZERO_FIELD = VectorField(ZERO, ZERO, ZERO)
 
 def apply_to_scalar(f: VectorField, phi) -> Expr:
     """Directional derivative f(phi) = cx phi_x + cy phi_y + cz phi_z."""
-    phi = _expr(phi)
+    phi = as_expr(phi)
     out = ZERO
     for comp, v in zip(f.components(), _COORDS):
         if comp.terms:
@@ -86,61 +84,27 @@ def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
     return VectorField(*comps)
 
 
-_REDUCTION_CAP = 5000
-
-
-def _has_negative(e: Expr) -> bool:
-    return any(k < 0 for m, _ in e.terms for _, k in m)
-
-
 def exact_div(num: Expr, den: Expr) -> Optional[Expr]:
-    """Exact quotient num/den, or None when the division does not come
-    out even.  Monomial divisors divide term by term; multi-term
-    divisors go through leading-term reduction under a lexicographic
-    term order, with a final product check as the authority.  The
-    quotient never introduces negative powers absent from the inputs."""
-    num, den = _expr(num), _expr(den)
+    """Exact quotient num/den by a single-term divisor, or None when the
+    division does not come out even.  The quotient never introduces
+    negative powers absent from the inputs.  Multi-term divisors raise
+    ValueError: proportional_to, the one caller, divides by a component
+    of B, which is a constant or a single parameter atom."""
+    num, den = as_expr(num), as_expr(den)
     if not den.terms:
         raise ZeroDivisionError("division by a zero expression")
+    if len(den.terms) > 1:
+        raise ValueError(
+            f"exact_div takes single-term divisors only, got {to_text(den)}")
     if not num.terms:
         return ZERO
-    if len(den.terms) == 1:
-        q = num / den
-        if q * den != num:
-            return None
-        if _has_negative(q) and not (_has_negative(num)
-                                     or _has_negative(den)):
-            return None
-        return q
-    atoms = sorted({a for m, _ in num.terms for a, _ in m}
-                   | {a for m, _ in den.terms for a, _ in m},
-                   key=lambda a: a.key)
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def dense(mono):
-        row = [0] * len(atoms)
-        for a, k in mono:
-            row[index[a]] = k
-        return tuple(row)
-
-    den_mono, den_coeff = max(den.terms, key=lambda t: dense(t[0]))
-    den_exp = dense(den_mono)
-    quot = ZERO
-    rem = num
-    for _ in range(_REDUCTION_CAP):
-        if not rem.terms:
-            break
-        rem_mono, rem_coeff = max(rem.terms, key=lambda t: dense(t[0]))
-        diff = [r - d for r, d in zip(dense(rem_mono), den_exp)]
-        if any(v < 0 for v in diff):
-            return None
-        t_mono = tuple((a, v) for a, v in zip(atoms, diff) if v)
-        t = Expr(((t_mono, rem_coeff / den_coeff),))
-        quot = quot + t
-        rem = rem - t * den
-    if rem.terms:
+    q = num / den
+    if q * den != num:
         return None
-    return quot if quot * den == num else None
+    if _has_negative_power(q) and not (_has_negative_power(num)
+                                       or _has_negative_power(den)):
+        return None
+    return q
 
 
 def proportional_to(f: VectorField, ref: VectorField) -> Optional[Expr]:

@@ -302,26 +302,28 @@ def chain_complex(algebra: Algebra7) -> ChainComplex:
                               for p in range(DIM + 1)))
 
 
-def betti_numbers(algebra: Algebra7) -> list:
-    """b_p = dim ker d_p - dim im d_{p+1} for p = 0..7."""
-    ranks = chain_complex(algebra).ranks()
+def _betti_euler(ranks: list):
+    """Betti vector and Euler characteristic from the ranks of d_0..d_7:
+    b_p = dim ker d_p - dim im d_{p+1}."""
     ranks = ranks + [0]
-    return [comb(DIM, p) - ranks[p] - ranks[p + 1] for p in range(DIM + 1)]
+    betti = [comb(DIM, p) - ranks[p] - ranks[p + 1] for p in range(DIM + 1)]
+    return betti, sum((-1) ** p * b for p, b in enumerate(betti))
+
+
+def betti_numbers(algebra: Algebra7) -> list:
+    """b_p for p = 0..7."""
+    return _betti_euler(chain_complex(algebra).ranks())[0]
 
 
 def euler_characteristic(algebra: Algebra7) -> int:
-    return sum((-1) ** p * b for p, b in enumerate(betti_numbers(algebra)))
+    return _betti_euler(chain_complex(algebra).ranks())[1]
 
 
 def homology_report(algebra: Algebra7) -> dict:
     """Betti vector, boundary ranks, Euler characteristic, and the
     Heisenberg flag, as plain JSON-ready data."""
-    complex_ = chain_complex(algebra)
-    ranks = complex_.ranks()
-    ranks_ext = ranks + [0]
-    betti = [comb(DIM, p) - ranks_ext[p] - ranks_ext[p + 1]
-             for p in range(DIM + 1)]
-    euler = sum((-1) ** p * b for p, b in enumerate(betti))
+    ranks = chain_complex(algebra).ranks()
+    betti, euler = _betti_euler(ranks)
     return {
         "betti": betti,
         "ranks": ranks,

@@ -1,7 +1,7 @@
 """Greenhouse climate model: parameters, drift and control fields, and a
 fixed-step simulator.
 
-States are x (CO2 concentration), y (humidity), z (temperature).  The
+States are x (temperature), y (humidity), z (CO2 concentration).  The
 dynamics are control-affine,
 
     dX/dt = f0(X) + u1 f1 + u2 f2 + u3 f3,
@@ -52,12 +52,6 @@ class InvalidParamsError(ValueError):
         self.violations = list(violations)
 
 
-def _rat(v) -> Fraction:
-    if isinstance(v, float):
-        return Fraction(v)
-    return Fraction(v)
-
-
 @dataclass(frozen=True)
 class Params:
     """Model coefficients.  Entries are exact rationals, or expressions
@@ -79,19 +73,17 @@ class Params:
     def make(cls, alpha, beta, gamma) -> "Params":
         """alpha: 3 values; beta: mapping with keys b11..b33, b22p;
         gamma: 2x3 rows (gamma_1i, gamma_2i)."""
-        a = [_rat(v) for v in alpha]
+        a = [Fraction(v) for v in alpha]
         if len(a) != 3:
             raise ValueError("alpha needs exactly 3 entries")
         missing = [k for k in _BETA_KEYS if k not in beta]
         if missing:
             raise ValueError(f"beta is missing {missing}")
-        g = tuple(tuple(_rat(v) for v in row) for row in gamma)
+        g = tuple(tuple(Fraction(v) for v in row) for row in gamma)
         if len(g) != 2 or any(len(row) != 3 for row in g):
             raise ValueError("gamma must be a 2x3 table")
-        return cls(a[0], a[1], a[2],
-                   _rat(beta["b11"]), _rat(beta["b12"]), _rat(beta["b13"]),
-                   _rat(beta["b22"]), _rat(beta["b22p"]),
-                   _rat(beta["b32"]), _rat(beta["b33"]), g)
+        b = [Fraction(beta[k]) for k in _BETA_KEYS]
+        return cls(*a, *b, g)
 
     @classmethod
     def from_json(cls, text: str) -> "Params":
@@ -181,20 +173,15 @@ def build_fields(p: Params):
     if violations:
         raise InvalidParamsError(violations)
     x, y, z = var("x"), var("y"), var("z")
-    e = E
-
-    def v(val):
-        return val if isinstance(val, Expr) else as_expr(val)
-
     f0 = VectorField(
-        v(p.alpha1) + v(p.beta11) * x + v(p.beta12) * e,
-        v(p.alpha2) + v(p.beta22) * y + v(p.beta22p) * e + v(p.beta13) * z,
-        v(p.alpha3) + v(p.beta32) * y + v(p.beta33) * z,
+        p.alpha1 + p.beta11 * x + p.beta12 * E,
+        p.alpha2 + p.beta22 * y + p.beta22p * E + p.beta13 * z,
+        p.alpha3 + p.beta32 * y + p.beta33 * z,
     )
     controls = tuple(
-        VectorField.of(v(p.gamma_entry(1, i)), v(p.gamma_entry(2, i)), 0)
+        VectorField.of(p.gamma_entry(1, i), p.gamma_entry(2, i), 0)
         for i in (1, 2, 3))
-    b_field = VectorField.of(-v(p.beta12), -v(p.beta22p), 0)
+    b_field = VectorField.of(-p.beta12, -p.beta22p, 0)
     return (f0,) + controls + (b_field,)
 
 
@@ -268,12 +255,14 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     violations = validate_params(p)
     if violations:
         raise InvalidParamsError(violations)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if len(init) != 3:
         raise ValueError("init must have three components")
+    if not all(math.isfinite(v) for v in init):
+        raise ValueError(f"init must be finite, got {tuple(init)}")
 
     bind = dict(p.bindings())
     e_closed = substitute(e_expr, bind) if bind else e_expr

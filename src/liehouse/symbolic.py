@@ -30,7 +30,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 Rational = Fraction
 
@@ -171,9 +171,8 @@ class Expr:
         return self._hash
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = as_expr(other)
-        if not isinstance(other, Expr):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -261,12 +260,6 @@ class Expr:
                 base = base * base
             n >>= 1
         return out
-
-    def leading_term(self):
-        """Largest term in the monomial order; requires a nonzero expression."""
-        if not self.terms:
-            raise ValueError("zero expression has no leading term")
-        return self.terms[-1]
 
     def __str__(self):
         return to_text(self)
@@ -388,8 +381,7 @@ def epartial(a: int, b: int) -> Expr:
 
 
 def _func_expr(name: str, arg) -> Expr:
-    arg = as_expr(arg) if not isinstance(arg, Expr) else arg
-    return _atom_expr(_func_atom(name, arg))
+    return _atom_expr(_func_atom(name, as_expr(arg)))
 
 
 def tanh(arg) -> Expr:
@@ -417,10 +409,8 @@ E = epartial(0, 0)
 def normalize(e) -> Expr:
     """Return the canonical form.  Construction already normalizes, so on
     Expr inputs this re-merges the term list and is idempotent."""
-    if not isinstance(e, Expr):
-        return as_expr(e)
     acc: dict = {}
-    for m, c in e.terms:
+    for m, c in as_expr(e).terms:
         nc = acc.get(m, _ZERO_F) + c
         if nc:
             acc[m] = nc
@@ -482,7 +472,7 @@ def differentiate(e, v) -> Expr:
     """Formal partial derivative.  v is 'x', 'y', 'z' or a coordinate
     expression.  Partials of E shift their order pair; tanh uses
     tanh' = 1 - tanh^2."""
-    e = e if isinstance(e, Expr) else as_expr(e)
+    e = as_expr(e)
     vname = _as_var_name(v)
     acc: dict = {}
     for m, c in e.terms:
@@ -521,7 +511,7 @@ class _Substitution:
     def __init__(self, bindings: Mapping):
         self.map = {}
         for k, v in bindings.items():
-            self.map[_as_atom(k)] = v if isinstance(v, Expr) else as_expr(v)
+            self.map[_as_atom(k)] = as_expr(v)
         self.cache: dict = {}
         base = self.map.get(_epartial_atom(0, 0))
         self.derived: Optional[dict] = None
@@ -585,8 +575,7 @@ def substitute(e, bindings: Mapping) -> Expr:
     raised.  Unbound atoms pass through, with transcendental arguments
     and reciprocal bases rewritten recursively.
     """
-    e = e if isinstance(e, Expr) else as_expr(e)
-    return _Substitution(bindings).run(e)
+    return _Substitution(bindings).run(as_expr(e))
 
 
 # -- numeric evaluation ------------------------------------------------
@@ -635,27 +624,31 @@ def eval_numeric(e, assignment: Mapping) -> float:
     """Evaluate at a point.  assignment maps atoms (or single-atom
     expressions) to numbers; transcendentals and reciprocals evaluate
     through their contents unless assigned directly."""
-    e = e if isinstance(e, Expr) else as_expr(e)
     memo = {_as_atom(k): float(v) for k, v in assignment.items()}
-    return _eval_expr(e, memo)
+    return _eval_expr(as_expr(e), memo)
 
 
-def base_atoms(e: Expr) -> set:
-    """All coordinate, parameter, and E-partial atoms reachable in e,
-    descending into transcendental arguments and reciprocal bases."""
+def all_atoms(e: Expr) -> set:
+    """Every atom reachable in e, descending into transcendental
+    arguments and reciprocal bases."""
     out: set = set()
     stack = [e]
     while stack:
-        cur = stack.pop()
-        for m, _ in cur.terms:
+        for m, _ in stack.pop().terms:
             for atom, _k in m:
+                if atom in out:
+                    continue
+                out.add(atom)
                 if atom.kind == _FUNC:
                     stack.append(atom.data[1])
                 elif atom.kind == _RECIP:
                     stack.append(atom.data)
-                else:
-                    out.add(atom)
     return out
+
+
+def base_atoms(e: Expr) -> set:
+    """All coordinate, parameter, and E-partial atoms reachable in e."""
+    return {a for a in all_atoms(e) if a.kind not in (_FUNC, _RECIP)}
 
 
 def has_transcendental(e: Expr) -> bool:
@@ -685,7 +678,7 @@ def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
     tol * (1 + largest term magnitude) at any point refutes zero.
     Non-finite samples are redrawn a bounded number of times.
     """
-    e = e if isinstance(e, Expr) else as_expr(e)
+    e = as_expr(e)
     if not e.terms:
         return True
     if not has_transcendental(e) and not _has_negative_power(e):
@@ -717,10 +710,6 @@ def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
 
 # -- printing ----------------------------------------------------------
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _atom_text(atom: Atom) -> str:
     if atom.kind in (_VAR, _PARAM):
         return atom.data
@@ -744,17 +733,17 @@ def _atom_power_text(atom: Atom, k: int) -> str:
 
 def _term_text(m, c_abs: Fraction) -> str:
     if not m:
-        return _frac_text(c_abs)
+        return str(c_abs)
     factors = []
     if c_abs != 1:
-        factors.append(_frac_text(c_abs))
+        factors.append(str(c_abs))
     factors.extend(_atom_power_text(a, k) for a, k in m)
     return "*".join(factors)
 
 
 def to_text(e) -> str:
     """Render in the grammar the parser accepts; parse(to_text(e)) == e."""
-    e = e if isinstance(e, Expr) else as_expr(e)
+    e = as_expr(e)
     if not e.terms:
         return "0"
     parts = []

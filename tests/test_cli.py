@@ -205,3 +205,50 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command,descriptor", [
+    ("simulate", "expr:E"),
+    ("closure", "expr:z"),
+    ("closure", "expr:x*E_x"),
+    ("check-e", "char:1,2:E;x"),
+])
+def test_e_outside_x_y_and_parameters_exit_two(params_file, capsys,
+                                               command, descriptor):
+    assert main([command, "--params", params_file, "--e", descriptor]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E may depend on x, y and parameters")
+    assert err.count("\n") == 1
+
+
+def test_sampling_failure_exit_two(params_file, capsys):
+    # exp(1000 + x) overflows at every sample point
+    assert main(["closure", "--params", params_file,
+                 "--e", "expr:exp(1000+x)"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: could not find enough finite sample points\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["simulate", "--e", "expr:x", "--dt", "nan"],
+    ["simulate", "--e", "expr:x", "--dt", "inf"],
+    ["simulate", "--e", "expr:x", "--init=0.1,-0.2,nan"],
+    ["simulate", "--e", "expr:x", "--init", "inf,0,0"],
+    ["check-e", "--e", "expr:x*y", "--tol", "inf"],
+    ["check-e", "--e", "expr:x*y", "--tol", "nan"],
+    ["check-e", "--e", "expr:x*y", "--grid", "2,2,0,nan,0,1"],
+    ["check-e", "--e", "expr:x*y", "--grid", "2,2,0,1,-inf,1"],
+])
+def test_non_finite_floats_exit_two(params_file, capsys, extra):
+    argv = extra[:1] + ["--params", params_file] + extra[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_mode_flag_is_gone(params_file):
+    with pytest.raises(SystemExit) as err:
+        main(["closure", "--params", params_file, "--e", "expr:x*y",
+              "--mode", "numeric"])
+    assert err.value.code == 2

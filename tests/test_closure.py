@@ -178,8 +178,6 @@ def test_check_closure_variant_and_seed_recorded():
     assert rep.seed == 11
     with pytest.raises(ValueError):
         check_closure(demo_params(), X * Y, cross_variant="paper_3")
-    with pytest.raises(ValueError):
-        check_closure(demo_params(), X * Y, mode="fancy")
 
 
 def test_check_closure_recip_forces_numeric():
@@ -187,7 +185,7 @@ def test_check_closure_recip_forces_numeric():
     p = demo_params()
     e = e_tanh(p, TanhConstants.of(Fraction(1), Fraction(2), Fraction(1),
                                    Fraction(3), 1))
-    rep = check_closure(p, e, mode="symbolic")
+    rep = check_closure(p, e)
     assert rep.mode == "numeric"
 
 
@@ -211,3 +209,17 @@ def test_delta_with_bound_e_matches_substitution(rng):
 
 def test_variants_tuple_is_public():
     assert CROSS_VARIANTS == ("bracket_1", "paper_2")
+
+
+def test_engine_variant_routes_every_operator():
+    p = demo_params()
+    e = X ** 3 * Y
+    engine = ClosureEngine(p, e, "paper_2")
+    for i, j in ((1, 1), (1, 2), (3, 2)):
+        cij = delta_ij_formula(p, e, i, j, "paper_2")
+        assert engine.delta(i, j) == cij
+        assert engine.delta3(i, j, 2) == \
+            apply_to_scalar(engine.control(2), cij)
+        assert engine.lam(i, j, 3) == engine.lam_with(3, cij)
+    with pytest.raises(ValueError):
+        ClosureEngine(p, e, "paper_3")

@@ -6,7 +6,7 @@ from liehouse.fields import (
     ZERO_FIELD, VectorField, apply_to_scalar, exact_div, lie_bracket,
     proportional_to,
 )
-from liehouse.symbolic import as_expr, var
+from liehouse.symbolic import Expr, as_expr, var
 
 from conftest import rand_field, rand_poly
 
@@ -72,10 +72,15 @@ def test_field_arithmetic():
 def test_exact_div_monomial_and_polynomial():
     num = X * X * Y * 6
     assert exact_div(num, X * Y * 2) == X * 3
-    assert exact_div(X * X - Y * Y, X + Y) == X - Y
     assert exact_div(X * X + Y, X) is None
     p = (X * 2 + Y * 3 + as_expr(1)) * (X * X - Y + as_expr(5))
-    assert exact_div(p, X * 2 + Y * 3 + as_expr(1)) == X * X - Y + as_expr(5)
+    assert exact_div(p * X * 4, X * 4) == p
+    # polynomial divisors were dropped: proportional_to only ever
+    # divides by a constant or a single parameter atom
+    with pytest.raises(ValueError):
+        exact_div(X * X - Y * Y, X + Y)
+    with pytest.raises(ValueError):
+        exact_div(p, X * 2 + Y * 3 + as_expr(1))
 
 
 def test_exact_div_random_products(rng):
@@ -84,11 +89,14 @@ def test_exact_div_random_products(rng):
         b = rand_poly(rng)
         if not a.terms or not b.terms:
             continue
-        assert exact_div(a * b, b) == a
-        nonconstant = any(m for m, _ in b.terms)
-        if nonconstant:
-            # b divides a*b + 1 only if b is a unit
-            assert exact_div(a * b + as_expr(1), b) is None
+        lead = Expr((b.terms[-1],))
+        assert exact_div(a * lead, lead) == a
+        if lead.terms[0][0]:
+            # lead divides a*lead + 1 only if lead is a unit
+            assert exact_div(a * lead + as_expr(1), lead) is None
+        if len(b.terms) > 1:
+            with pytest.raises(ValueError):
+                exact_div(a * b, b)
 
 
 def test_proportional_to_finds_scalar():

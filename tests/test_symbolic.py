@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liehouse.symbolic import (
-    InconsistentBindingError, MissingAssignmentError, as_expr, base_atoms,
-    cos, differentiate, epartial, eval_numeric, exp, has_transcendental,
-    is_zero, monomial_key, param, sin, substitute, tanh, to_text, var,
+    InconsistentBindingError, MissingAssignmentError, all_atoms, as_expr,
+    base_atoms, cos, differentiate, epartial, eval_numeric, exp,
+    has_transcendental, is_zero, monomial_key, param, sin, substitute, tanh,
+    to_text, var,
 )
 
 from conftest import rand_poly
@@ -241,3 +242,10 @@ def test_to_text_spot_checks():
     assert to_text(epartial(2, 1)) == "E_xxy"
     assert to_text(X ** 3 * Fraction(1, 2)) == "1/2*x^3"
     assert "tanh" in to_text(tanh(X))
+
+
+def test_all_atoms_keeps_function_and_reciprocal_atoms():
+    e = as_expr(1) / (as_expr(3) + tanh(X + param("alpha1")))
+    assert sorted(repr(a) for a in all_atoms(e)) == [
+        "(3 + tanh(x + alpha1))^-1", "alpha1", "tanh(x + alpha1)", "x"]
+    assert sorted(repr(a) for a in base_atoms(e)) == ["alpha1", "x"]
