@@ -35,8 +35,9 @@ from .model import (
 from .parsing import ParseError, parse
 from .symbolic import (
     EvaluationError, Expr, InconsistentBindingError, MissingAssignmentError,
-    SymbolicError, cos, differentiate, epartial, eval_numeric, exp, is_zero,
-    param, sin, substitute, tanh, to_text, var,
+    Program, SymbolicError, compile_exprs, cos, differentiate, epartial,
+    eval_numeric, evaluate, exp, is_zero, param, sin, substitute, tanh,
+    to_text, var,
 )
 
 __version__ = "0.1.0"
@@ -46,15 +47,15 @@ __all__ = [
     "ClosureEngine", "ClosureReport", "ConditionMeasurement",
     "ControlSchedule", "CROSS_VARIANTS", "EvaluationError", "Expr",
     "InconsistentBindingError", "InvalidParamsError",
-    "MissingAssignmentError", "Params", "ParseError", "PoleError",
+    "MissingAssignmentError", "Params", "ParseError", "PoleError", "Program",
     "StructureMatrix", "SymbolicError", "TanhConstants", "Trajectory",
     "VectorField", "VerificationReport", "ZERO_FIELD", "apply_to_scalar",
     "betti_numbers", "boundary_matrix", "build_algebra", "build_fields",
-    "chain_complex", "characteristic_line", "check_closure", "cos",
-    "default_grid", "delta_ij", "delta_ij_formula", "delta_ijk",
+    "chain_complex", "characteristic_line", "check_closure", "compile_exprs",
+    "cos", "default_grid", "delta_ij", "delta_ij_formula", "delta_ijk",
     "delta_ijk_formula", "demo_params", "descriptor_to_expr",
     "differentiate", "e_characteristic", "e_tanh", "epartial",
-    "euler_characteristic", "eval_numeric", "exact_div", "exp",
+    "euler_characteristic", "eval_numeric", "evaluate", "exact_div", "exp",
     "homology_report", "is_heisenberg", "is_zero", "jacobi_check",
     "lambda_ijk", "lie_bracket", "magic_tuples", "make_grid", "param",
     "parse", "parse_descriptor", "proportional_to", "rank_exact", "simulate",

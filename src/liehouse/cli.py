@@ -54,7 +54,9 @@ class RunConfig:
 
 
 def _emit_json(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # a NaN or an infinity is an error (exit 2), never a report value
+    text = json.dumps(report, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

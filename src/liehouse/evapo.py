@@ -22,16 +22,18 @@ tension instead of repairing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from operator import sub
 from typing import Optional, Sequence
 
 from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
 from .parsing import parse
 from .symbolic import (
-    Expr, as_expr, base_atoms, eval_numeric, substitute, tanh, var,
+    Expr, as_expr, base_atoms, compile_exprs, eval_numeric, evaluate,
+    substitute, tanh, var,
     _PARAM, _VAR,
 )
 
@@ -310,6 +312,41 @@ def _measure(expr: Expr, grid: Sequence, target: float,
                                 max_dev=max_dev, passed=max_dev <= tol)
 
 
+def _measure_all(exprs: Sequence, targets: Sequence, grid: Sequence,
+                 tol: float) -> list:
+    """Measure every condition over the grid through one compiled program.
+
+    The running maxima are those _measure keeps, in the same order, so
+    the results are identical.  At a singular point (an arithmetic error
+    or a non-finite value) the batch is measured again condition by
+    condition, so the PoleError names the point _measure names: the
+    first singular point of the first singular condition.
+    """
+    # many conditions coincide (most are 0); track each distinct one once
+    distinct = list(dict.fromkeys(zip(exprs, targets)))
+    program = compile_exprs([e for e, _ in distinct], (var("x"), var("y")))
+    tracked = [t for _, t in distinct]
+    max_abs = [0.0] * len(distinct)
+    max_dev = [0.0] * len(distinct)
+    try:
+        for gx, gy in grid:
+            vals = evaluate(program, (gx, gy))
+            # a non-finite value makes the sum non-finite; an overflowing
+            # sum of finite values only costs the re-measurement
+            if not math.isfinite(sum(vals)):
+                break
+            max_abs = list(map(max, max_abs, map(abs, vals)))
+            max_dev = list(map(max, max_dev,
+                               map(abs, map(sub, vals, tracked))))
+        else:
+            found = {pair: ConditionMeasurement(pair[1], a, d, d <= tol)
+                     for pair, a, d in zip(distinct, max_abs, max_dev)}
+            return [replace(found[pair]) for pair in zip(exprs, targets)]
+    except (ZeroDivisionError, OverflowError, ValueError):
+        pass
+    return [_measure(expr, grid, t, tol) for expr, t in zip(exprs, targets)]
+
+
 def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
                      tol: float = 1e-9, cross_variant: str = "bracket_1",
                      seed: int = 0) -> VerificationReport:
@@ -335,13 +372,18 @@ def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
     delta_m = {}
     delta3_m = {}
     lam_m = {}
+    conditions = []  # (table, key, target, expression), measurement order
     for i, j in product(_INDICES, repeat=2):
-        target = 1.0 if i == j else 0.0
-        delta_m[(i, j)] = _measure(engine.delta(i, j), grid, target, tol)
+        conditions.append((delta_m, (i, j), 1.0 if i == j else 0.0,
+                           engine.delta(i, j)))
         for k in _INDICES:
-            delta3_m[(i, j, k)] = _measure(engine.delta3(i, j, k), grid,
-                                           0.0, tol)
-            lam_m[(i, j, k)] = _measure(engine.lam(i, j, k), grid, 0.0, tol)
+            conditions.append((delta3_m, (i, j, k), 0.0,
+                               engine.delta3(i, j, k)))
+            conditions.append((lam_m, (i, j, k), 0.0, engine.lam(i, j, k)))
+    tables, keys, targets, exprs = zip(*conditions)
+    for table, key, m in zip(tables, keys,
+                             _measure_all(exprs, targets, grid, tol)):
+        table[key] = m
 
     passed = (all(m.passed for m in delta_m.values())
               and all(m.passed for m in delta3_m.values())

@@ -25,10 +25,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, Mapping, Sequence, Union
 
 from .fields import VectorField
-from .symbolic import E, Expr, as_expr, eval_numeric, param, substitute, var
+from .symbolic import (
+    E, Expr, as_expr, compile_exprs, evaluate, param, substitute, var,
+)
 
 Value = Union[Fraction, Expr]
 
@@ -42,6 +44,21 @@ _SIGN_TABLE = (
 )
 
 _BETA_KEYS = ("b11", "b12", "b13", "b22", "b22p", "b32", "b33")
+
+
+def _is_row(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _rational(value, where: str) -> Fraction:
+    """An exact parameter entry.  Whatever Fraction rejects (a list, a
+    mapping, null, an infinity, "1/0") is a ValueError naming the
+    entry."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"{where} must be a finite number, got {value!r}") from None
 
 
 class InvalidParamsError(ValueError):
@@ -73,16 +90,20 @@ class Params:
     def make(cls, alpha, beta, gamma) -> "Params":
         """alpha: 3 values; beta: mapping with keys b11..b33, b22p;
         gamma: 2x3 rows (gamma_1i, gamma_2i)."""
-        a = [Fraction(v) for v in alpha]
-        if len(a) != 3:
+        if not (_is_row(alpha) and len(alpha) == 3):
             raise ValueError("alpha needs exactly 3 entries")
+        if not isinstance(beta, Mapping):
+            raise ValueError("beta must map b11..b33, b22p to values")
         missing = [k for k in _BETA_KEYS if k not in beta]
         if missing:
             raise ValueError(f"beta is missing {missing}")
-        g = tuple(tuple(Fraction(v) for v in row) for row in gamma)
-        if len(g) != 2 or any(len(row) != 3 for row in g):
+        if not (_is_row(gamma) and len(gamma) == 2
+                and all(_is_row(row) and len(row) == 3 for row in gamma)):
             raise ValueError("gamma must be a 2x3 table")
-        b = [Fraction(beta[k]) for k in _BETA_KEYS]
+        a = [_rational(v, "alpha entry") for v in alpha]
+        b = [_rational(beta[k], f"beta entry {k}") for k in _BETA_KEYS]
+        g = tuple(tuple(_rational(v, "gamma entry") for v in row)
+                  for row in gamma)
         return cls(*a, *b, g)
 
     @classmethod
@@ -91,6 +112,8 @@ class Params:
             data = json.loads(text, parse_float=Fraction, parse_int=Fraction)
         except json.JSONDecodeError as err:
             raise ValueError(f"parameter file is not valid JSON: {err}")
+        if not isinstance(data, dict):
+            raise ValueError("parameter file must hold a JSON object")
         for key in ("alpha", "beta", "gamma"):
             if key not in data:
                 raise ValueError(f"parameter file is missing {key!r}")
@@ -196,6 +219,8 @@ class ControlSchedule:
         if not self.entries:
             raise ValueError("control schedule needs at least one entry")
         times = [float(e[0]) for e in self.entries]
+        # kept for value_at, which bisects it once per step
+        object.__setattr__(self, "_times", times)
         if times[0] != 0.0:
             raise ValueError("control schedule must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -213,8 +238,7 @@ class ControlSchedule:
         return cls.constant()
 
     def value_at(self, t: float):
-        times = [float(e[0]) for e in self.entries]
-        idx = bisect_right(times, t) - 1
+        idx = bisect_right(self._times, t) - 1
         if idx < 0:
             idx = 0
         _, u1, u2, u3 = self.entries[idx]
@@ -271,13 +295,10 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     drift = [substitute(c, bind_e) for c in f0.components()]
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]
     g2 = [float(p.gamma_entry(2, i)) for i in (1, 2, 3)]
-    ax, ay, az = var("x"), var("y"), var("z")
+    program = compile_exprs(drift, (var("x"), var("y"), var("z")))
 
     def rhs(state, u):
-        assign = {ax: state[0], ay: state[1], az: state[2]}
-        dx = eval_numeric(drift[0], assign)
-        dy = eval_numeric(drift[1], assign)
-        dz = eval_numeric(drift[2], assign)
+        dx, dy, dz = evaluate(program, state)
         for i in range(3):
             dx += u[i] * g1[i]
             dy += u[i] * g2[i]

@@ -21,7 +21,8 @@ Two expressions are equal exactly when their canonical forms coincide.
 On the fragment without transcendental or reciprocal atoms this makes
 zero-testing a decision procedure; with them, is_zero falls back to
 seeded random evaluation.  All structural arithmetic uses
-fractions.Fraction; floats appear only in eval_numeric and sampling.
+fractions.Fraction; floats appear only in eval_numeric, in the programs
+compile_exprs builds, and in sampling.
 """
 
 from __future__ import annotations
@@ -626,6 +627,118 @@ def eval_numeric(e, assignment: Mapping) -> float:
     through their contents unless assigned directly."""
     memo = {_as_atom(k): float(v) for k, v in assignment.items()}
     return _eval_expr(as_expr(e), memo)
+
+
+class Program:
+    """A batch of expressions lowered to one straight-line float function.
+
+    source is the generated Python text, kept for inspection.  Build with
+    compile_exprs, run with evaluate.
+    """
+
+    __slots__ = ("source", "run")
+
+    def __init__(self, source: str, run):
+        self.source = source
+        self.run = run
+
+
+class _Lowering:
+    """Emits one assignment per transcendental or reciprocal atom, in the
+    order _eval_expr first evaluates them, one per distinct power a ** k,
+    and one sum per expression.  Every term is written as
+    c * a * p * ..., summed onto 0.0, so each value repeats _eval_expr's
+    float operations exactly.  The text holds only generated names,
+    float reprs, integer exponents and math function names: nothing a
+    user typed."""
+
+    def __init__(self, inputs):
+        self.names = {atom: f"v{n}" for n, atom in enumerate(inputs)}
+        self.powers: dict = {}
+        self.lines: list = []
+        self.unrepresentable: list = []
+
+    def atom(self, atom: Atom) -> str:
+        name = self.names.get(atom)
+        if name is not None:
+            return name
+        if atom.kind == _FUNC:
+            fname, arg = atom.data
+            if fname not in FUNCTION_NAMES:  # the name becomes code text
+                raise ValueError(f"no float evaluator for {fname!r}")
+            code = f"{fname}({self.expr(arg)})"
+        elif atom.kind == _RECIP:
+            code = f"1.0 / ({self.expr(atom.data)})"
+        else:
+            raise MissingAssignmentError(f"no value assigned to {atom!r}")
+        name = f"a{len(self.lines)}"
+        self.lines.append(f"    {name} = {code}")
+        self.names[atom] = name
+        return name
+
+    def power(self, atom: Atom, k: int) -> str:
+        base = self.atom(atom)
+        if k == 1:
+            return base
+        name = self.powers.get((base, k))
+        if name is None:
+            name = f"{base}_{'m' if k < 0 else ''}{abs(k)}"
+            self.lines.append(f"    {name} = {base} ** {k}")
+            self.powers[(base, k)] = name
+        return name
+
+    def coefficient(self, c: Fraction) -> str:
+        try:
+            return repr(float(c))
+        except OverflowError:
+            # float(c) raises at each evaluation, as in _eval_expr
+            self.unrepresentable.append(c)
+            return f"float(_big[{len(self.unrepresentable) - 1}])"
+
+    def expr(self, e: Expr) -> str:
+        parts = ["0.0"]
+        for m, c in e.terms:
+            factors = [self.coefficient(c)]
+            factors.extend(self.power(atom, int(k)) for atom, k in m)
+            parts.append(" * ".join(factors))
+        return " + ".join(parts)
+
+
+def compile_exprs(exprs, inputs) -> Program:
+    """Lower a batch of expressions once for repeated float evaluation.
+
+    inputs lists the atoms (or single-atom expressions) whose values are
+    passed to evaluate, in order; they are leaves even when they are
+    transcendental or reciprocal.  Every other transcendental and
+    reciprocal atom, and every power of an atom, is evaluated once per
+    call however many terms and expressions share it, and coefficients
+    are converted to float once.  The values returned are exactly those
+    of eval_numeric, bit for bit.  A base atom that is not an input
+    raises MissingAssignmentError here, before any evaluation.
+    """
+    inputs = [_as_atom(a) for a in inputs]
+    low = _Lowering(inputs)
+    outputs = []
+    for n, e in enumerate(exprs):
+        low.lines.append(f"    r{n} = {low.expr(as_expr(e))}")
+        outputs.append(f"r{n}, ")
+    params = ", ".join(f"v{n}" for n in range(len(inputs)))
+    source = "\n".join([f"def run({params}):", *low.lines,
+                        f"    return ({''.join(outputs)})", ""])
+    namespace = {name: getattr(math, name) for name in FUNCTION_NAMES}
+    namespace["_big"] = tuple(low.unrepresentable)
+    exec(compile(source, "<liehouse program>", "exec"), namespace)
+    # popped, so the function and its globals form no reference cycle
+    return Program(source, namespace.pop("run"))
+
+
+def evaluate(program: Program, values) -> tuple:
+    """Run a compiled program on values given in the order of its inputs,
+    converted with float() as eval_numeric converts its assignment;
+    returns one float per compiled expression.  Arithmetic failures
+    propagate as in eval_numeric (ZeroDivisionError at a pole,
+    OverflowError, ValueError from math)."""
+    return program.run(*map(float, values))
 
 
 def all_atoms(e: Expr) -> set:

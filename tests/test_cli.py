@@ -2,9 +2,13 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liehouse.cli
 from liehouse.cli import main
 
 GOOD = {
@@ -252,3 +256,70 @@ def test_mode_flag_is_gone(params_file):
         main(["closure", "--params", params_file, "--e", "expr:x*y",
               "--mode", "numeric"])
     assert err.value.code == 2
+
+
+_BETA = GOOD["beta"]
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"alpha": 5, "beta": {}, "gamma": []}, "alpha needs exactly 3"),
+    ({"alpha": [1, 2], "beta": _BETA, "gamma": GOOD["gamma"]},
+     "alpha needs exactly 3"),
+    ({"alpha": [1, 2, [3]], "beta": _BETA, "gamma": GOOD["gamma"]},
+     "alpha entry must be a finite number"),
+    ({"alpha": [1, 2, 3], "beta": [1, 2], "gamma": GOOD["gamma"]},
+     "beta must map"),
+    ({"alpha": [1, 2, 3], "beta": dict(_BETA, b33=None),
+      "gamma": GOOD["gamma"]}, "beta entry b33 must be a finite number"),
+    ({"alpha": [1, 2, 3], "beta": _BETA, "gamma": [1, 2]},
+     "gamma must be a 2x3 table"),
+    ({"alpha": [1, 2, 3], "beta": _BETA, "gamma": [[1, 2, 3], 4]},
+     "gamma must be a 2x3 table"),
+    ({"alpha": [1, 2, 3], "beta": _BETA, "gamma": [[1, 2, 3], {"a": 1}]},
+     "gamma must be a 2x3 table"),
+    ([1, 2, 3], "must hold a JSON object"),
+])
+def test_params_shapes_exit_two(tmp_path, capsys, data, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--params", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_params_infinity_exit_two(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(GOOD).replace("1.5", "Infinity", 1))
+    assert main(["validate", "--params", str(path)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_nan_in_a_report_exit_two(params_file, capsys, monkeypatch):
+    monkeypatch.setattr(liehouse.cli, "validate_params",
+                        lambda p: [float("nan")])
+    assert main(["validate", "--params", params_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Out of range float values")
+
+
+def test_check_e_and_simulate_leave_numpy_unloaded(params_file, tmp_path):
+    script = (
+        "import sys\n"
+        "from liehouse.cli import main\n"
+        f"p = {params_file!r}\n"
+        "assert main(['check-e', '--params', p, '--e', 'tanh:1,2,1,3,1',"
+        f" '--out', {str(tmp_path / 'c.json')!r}]) == 1\n"
+        "assert main(['simulate', '--params', p, '--e', 'tanh:1,2,1,3,1',"
+        f" '--steps', '20', '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from liehouse.closure import delta_ij, delta_ijk
+from liehouse.closure import ClosureEngine, delta_ij, delta_ijk
 from liehouse.evapo import (
     CharacteristicFamily, PoleError, TanhConstants, characteristic_line,
     default_grid, descriptor_to_expr, e_characteristic, e_tanh, make_grid,
-    parse_descriptor, verify_candidate,
+    parse_descriptor, verify_candidate, _measure, _measure_all,
 )
 from liehouse.model import demo_params
 from liehouse.symbolic import (
@@ -205,6 +205,39 @@ def test_verify_candidate_pole_is_reported():
     with pytest.raises(PoleError) as err:
         verify_candidate(p, e, grid=grid)
     assert "0.5" in str(err.value)
+
+
+def test_verify_candidate_pole_names_the_first_singular_point():
+    p = demo_params()
+    e = descriptor_to_expr(p, "expr:1/(y - 1/2)")
+    grid = make_grid(3, 3, 0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(PoleError) as err:
+        verify_candidate(p, e, grid=grid)
+    assert str(err.value) == \
+        "candidate is singular at grid point (x=0.0, y=0.5)"
+
+
+def test_batch_pole_follows_condition_order():
+    # the second condition is singular at the first point, but the
+    # first condition's singular point is the one reported
+    grid = [(0.0, 0.0), (1.0, 0.0)]
+    exprs = [as_expr(1) / (X - 1), as_expr(1) / X]
+    with pytest.raises(PoleError) as err:
+        _measure_all(exprs, [0.0, 0.0], grid, 1e-9)
+    assert "(x=1.0, y=0.0)" in str(err.value)
+
+
+def test_batch_measurement_equals_per_condition_walk(rng):
+    p = rand_params(rng)
+    e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 2))
+    engine = ClosureEngine(p, e)
+    exprs = [engine.delta(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    exprs += [engine.lam(1, 2, k) for k in (1, 2, 3)]
+    targets = [1.0 if i == j else 0.0 for i in (1, 2, 3) for j in (1, 2, 3)]
+    targets += [0.0] * 3
+    grid = make_grid(4, 5, 0.1, 0.9, -0.3, 0.7)
+    assert _measure_all(exprs, targets, grid, 1e-9) == [
+        _measure(x, grid, t, 1e-9) for x, t in zip(exprs, targets)]
 
 
 def test_verify_candidate_random_params(rng):

@@ -134,6 +134,19 @@ def test_schedule_validation():
         (1.0, 2.0, 3.0)
 
 
+def test_schedule_lookup_with_many_entries():
+    entries = tuple((0.01 * n, float(n), -float(n), 0.5 * n)
+                    for n in range(200))
+    s = ControlSchedule(entries)
+    for n, (t, u1, u2, u3) in enumerate(entries):
+        assert s.value_at(t) == (u1, u2, u3)
+        assert s.value_at(t + 0.004) == (u1, u2, u3)
+        if n:
+            assert s.value_at(t - 1e-12) == entries[n - 1][1:]
+    assert s.value_at(-1.0) == entries[0][1:]
+    assert s.value_at(1e9) == entries[-1][1:]
+
+
 # -- simulator ----------------------------------------------------------
 
 def _linear_oracle(p: Params, init, t: float, u=(0.0, 0.0, 0.0)):

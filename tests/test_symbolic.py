@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from liehouse.symbolic import (
     InconsistentBindingError, MissingAssignmentError, all_atoms, as_expr,
-    base_atoms, cos, differentiate, epartial, eval_numeric, exp,
-    has_transcendental, is_zero, monomial_key, param, sin, substitute, tanh,
-    to_text, var,
+    base_atoms, compile_exprs, cos, differentiate, epartial, eval_numeric,
+    evaluate, exp, has_transcendental, is_zero, monomial_key, param, sin,
+    substitute, tanh, to_text, var,
 )
 
 from conftest import rand_poly
@@ -198,6 +198,117 @@ def test_eval_numeric_pole():
     r = as_expr(1) / X
     with pytest.raises(ZeroDivisionError):
         eval_numeric(r, {X: 0.0})
+
+
+# -- compiled programs --------------------------------------------------
+
+_ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
+_FUNCS = {"tanh": tanh, "exp": exp, "sin": sin, "cos": cos}
+
+
+@st.composite
+def shared_batches(draw):
+    """A batch of expressions over one pool of atoms: each pool entry
+    nests earlier ones inside a tanh, exp, sin, cos or reciprocal, and
+    every expression multiplies pool entries, so atoms are shared across
+    the batch and within it."""
+    pool = [X, Y, Z, as_expr(1) / X]
+    for _ in range(draw(st.integers(1, 4))):
+        arg = as_expr(draw(rationals))
+        for _ in range(draw(st.integers(1, 2))):
+            arg = arg + draw(st.sampled_from(pool)) * draw(rationals)
+        kind = draw(st.sampled_from(["tanh", "exp", "sin", "cos", "recip"]))
+        if kind == "recip":
+            pool.append(as_expr(1) / (arg + draw(rationals)))
+        else:
+            pool.append(_FUNCS[kind](arg))
+    exprs = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = as_expr(0)
+        for _ in range(draw(st.integers(0, 3))):
+            term = as_expr(draw(rationals))
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * draw(st.sampled_from(pool)) ** draw(
+                    st.integers(1, 2))
+            e = e + term
+        exprs.append(e)
+    return exprs
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_batches(), st.tuples(*[st.floats(-2, 2)] * 3))
+def test_program_matches_eval_numeric_bit_for_bit(exprs, point):
+    program = compile_exprs(exprs, (X, Y, Z))
+    assign = dict(zip((X, Y, Z), point))
+    try:
+        want = [eval_numeric(e, assign) for e in exprs]
+    except _ARITH_ERRORS:
+        with pytest.raises(_ARITH_ERRORS):
+            evaluate(program, point)
+        return
+    got = evaluate(program, point)
+    assert len(got) == len(exprs)
+    assert _bits(got) == _bits(want)
+
+
+def test_program_shares_atoms_and_powers():
+    u = tanh(X + Y * 2)
+    e = u * 3 + u ** 2 * as_expr(1) / (u + 4)
+    program = compile_exprs([e, e, u], (X, Y))
+    assert program.source.count("tanh(") == 1
+    assert program.source.count("1.0 / (") == 1
+    assert program.source.count(" ** 2") == 1
+    got = evaluate(program, (0.25, -0.5))
+    assert got[0] == got[1] == eval_numeric(e, {X: 0.25, Y: -0.5})
+
+
+def test_program_function_atom_input_is_a_leaf():
+    u = tanh(X + Y)
+    e = u * 3 + X
+    program = compile_exprs([e], (u, X))
+    assert evaluate(program, (0.25, 2.0)) == (0.75 + 2.0,)
+    assert evaluate(program, (0.25, 2.0)) == (
+        eval_numeric(e, {u: 0.25, X: 2.0}),)
+
+
+def test_program_unassigned_base_atom():
+    with pytest.raises(MissingAssignmentError):
+        compile_exprs([X + Y], (X,))
+    with pytest.raises(MissingAssignmentError):
+        compile_exprs([tanh(X + param("alpha1"))], (X,))
+
+
+def test_program_converts_values_like_eval_numeric():
+    # an int input is rounded to float first, as eval_numeric does;
+    # squaring the exact int would round differently
+    e = X ** 2 * Fraction(1, 3)
+    program = compile_exprs([e], (X,))
+    big = 2 ** 53 + 1
+    assert _bits(evaluate(program, (big,))) == _bits(
+        [eval_numeric(e, {X: big})])
+
+
+def test_program_pole():
+    program = compile_exprs([as_expr(1) / (X - 1), as_expr(1) / Y],
+                            (X, Y))
+    with pytest.raises(ZeroDivisionError):
+        evaluate(program, (1.0, 2.0))
+    with pytest.raises(ZeroDivisionError):
+        evaluate(program, (2.0, 0.0))
+    assert evaluate(program, (2.0, 4.0)) == (1.0, 0.25)
+
+
+def test_program_unrepresentable_coefficient_fails_like_the_walk():
+    e = X * 10 ** 400
+    program = compile_exprs([e], (X,))
+    with pytest.raises(OverflowError):
+        eval_numeric(e, {X: 1.0})
+    with pytest.raises(OverflowError):
+        evaluate(program, (1.0,))
 
 
 # -- zero decisions -----------------------------------------------------
