@@ -2,9 +2,9 @@
 
 Subcommands: validate, bracket, closure, check-e, homology, simulate.
 Reports are JSON (CSV for simulate) with sorted keys, written to --out
-or stdout.  Every report embeds the seed and, where Delta enters, the
-cross_variant in use; identical configuration and seed give identical
-output bytes.
+or stdout.  Every JSON report embeds the seed and, where Delta enters,
+the cross_variant in use; the simulate CSV carries neither.  Identical
+arguments give identical output bytes.
 
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .closure import CROSS_VARIANTS, check_closure
@@ -33,26 +32,6 @@ from .model import (
 from .symbolic import SymbolicError, to_text
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully determined (with the seed) by its
-    fields."""
-
-    command: str
-    params: Optional[str] = None
-    e: Optional[str] = None
-    c: str = "identity"
-    cross: str = "bracket_1"
-    seed: int = 0
-    out: Optional[str] = None
-    grid: Optional[str] = None
-    tol: float = 1e-9
-    init: str = "0,0,0"
-    dt: float = 0.01
-    steps: int = 100
-    ctrl: Optional[str] = None
-
-
 def _emit_json(report: dict, out: Optional[str]) -> None:
     # a NaN or an infinity is an error (exit 2), never a report value
     text = json.dumps(report, sort_keys=True, indent=2,
@@ -64,14 +43,8 @@ def _emit_json(report: dict, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _load_params(config: RunConfig) -> Params:
-    if config.params is None:
-        raise ValueError("--params is required for this command")
-    return Params.from_file(config.params)
-
-
-def _admissible_params(config: RunConfig) -> Params:
-    p = _load_params(config)
+def _admissible_params(args: argparse.Namespace) -> Params:
+    p = Params.from_file(args.params)
     violations = validate_params(p)
     if violations:
         raise InvalidParamsError(violations)
@@ -109,28 +82,27 @@ def _load_ctrl(path: Optional[str]) -> ControlSchedule:
     if not isinstance(data, list):
         raise ValueError(
             "control file wants a list of [t, u1, u2, u3] entries")
-    return ControlSchedule(tuple(tuple(float(v) for v in row)
-                                 for row in data))
+    return ControlSchedule(tuple(data))
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    p = _load_params(config)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    p = Params.from_file(args.params)
     violations = validate_params(p)
     _emit_json({
         "command": "validate",
         "violations": violations,
         "valid": not violations,
-        "seed": config.seed,
-    }, config.out)
+        "seed": args.seed,
+    }, args.out)
     return 0 if not violations else 1
 
 
-def _cmd_bracket(config: RunConfig) -> int:
+def _cmd_bracket(args: argparse.Namespace) -> int:
     from .closure import ClosureEngine
-    from .fields import lie_bracket, proportional_to
+    from .fields import lie_bracket
 
-    p = _admissible_params(config)
-    e = descriptor_to_expr(p, config.e) if config.e else None
+    p = _admissible_params(args)
+    e = descriptor_to_expr(p, args.e) if args.e else None
     engine = ClosureEngine(p, e)
 
     def field_text(f):
@@ -149,92 +121,73 @@ def _cmd_bracket(config: RunConfig) -> int:
         "y": {str(k): field_text(engine.y(k)) for k in (1, 2, 3)},
         "delta": {f"{i}{j}": to_text(engine.delta(i, j))
                   for i in (1, 2, 3) for j in (1, 2, 3)},
-        "b_proportional": True,  # delta construction verified each entry
         "cross_variant": "bracket_1",
-        "seed": config.seed,
+        "seed": args.seed,
     }
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_closure(config: RunConfig) -> int:
-    p = _admissible_params(config)
-    e = descriptor_to_expr(p, config.e) if config.e else None
-    report = check_closure(p, e, cross_variant=config.cross,
-                           seed=config.seed)
+def _cmd_closure(args: argparse.Namespace) -> int:
+    p = _admissible_params(args)
+    e = descriptor_to_expr(p, args.e) if args.e else None
+    report = check_closure(p, e, cross_variant=args.cross,
+                           seed=args.seed)
     payload = {"command": "closure"}
     payload.update(report.to_dict())
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     all_constant = all(all(row) for row in report.constant_ok)
     return 0 if all_constant else 1
 
 
-def _cmd_check_e(config: RunConfig) -> int:
-    p = _admissible_params(config)
-    if not config.e:
+def _cmd_check_e(args: argparse.Namespace) -> int:
+    p = _admissible_params(args)
+    if not args.e:
         raise ValueError("--e is required for check-e")
-    e = descriptor_to_expr(p, config.e)
-    grid = _parse_grid(config.grid)
-    report = verify_candidate(p, e, grid=grid, tol=config.tol,
-                              cross_variant=config.cross, seed=config.seed)
+    e = descriptor_to_expr(p, args.e)
+    grid = _parse_grid(args.grid)
+    report = verify_candidate(p, e, grid=grid, tol=args.tol,
+                              cross_variant=args.cross, seed=args.seed)
     payload = {"command": "check-e"}
     payload.update(report.to_dict())
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0 if report.passed else 1
 
 
-def _cmd_homology(config: RunConfig) -> int:
-    if config.c == "identity":
+def _cmd_homology(args: argparse.Namespace) -> int:
+    if args.c == "identity":
         c = StructureMatrix.identity()
     else:
-        with open(config.c, "r", encoding="utf-8") as handle:
+        with open(args.c, "r", encoding="utf-8") as handle:
             c = StructureMatrix.from_json(handle.read())
     report = homology_report(build_algebra(c))
     payload = {
         "command": "homology",
         "c": [[str(v) for v in row] for row in c.rows],
-        "seed": config.seed,
+        "seed": args.seed,
     }
     payload.update(report)
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    p = _admissible_params(config)
-    if not config.e:
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    p = _admissible_params(args)
+    if not args.e:
         raise ValueError("--e is required for simulate")
-    e = descriptor_to_expr(p, config.e)
-    ctrl = _load_ctrl(config.ctrl)
-    init = _parse_init(config.init)
-    traj = simulate(p, e, ctrl, init, config.dt, config.steps)
-    if config.out is None:
+    e = descriptor_to_expr(p, args.e)
+    ctrl = _load_ctrl(args.ctrl)
+    init = _parse_init(args.init)
+    traj = simulate(p, e, ctrl, init, args.dt, args.steps)
+    if args.out is None:
         traj.to_csv(sys.stdout)
     else:
-        traj.write_csv(config.out)
+        traj.write_csv(args.out)
     if traj.diverged:
         sys.stderr.write(
             f"warning: trajectory diverged after {len(traj.times) - 1} "
             f"steps; output truncated\n")
     return 0
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "bracket": _cmd_bracket,
-    "closure": _cmd_closure,
-    "check-e": _cmd_check_e,
-    "homology": _cmd_homology,
-    "simulate": _cmd_simulate,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configuration; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    return handler(config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and homology for the greenhouse climate model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, params=False, e=False, grid=False):
+    def command(name, handler, summary, params=True, e=True, grid=False,
+                cross=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
         if params:
             sp.add_argument("--params", required=True,
                             help="JSON parameter file")
@@ -255,34 +211,31 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             sp.add_argument("--grid",
                             help='"nx,ny" or "nx,ny,x0,x1,y0,y1"')
+        if cross:
+            sp.add_argument("--cross", choices=CROSS_VARIANTS,
+                            default="bracket_1",
+                            help="mixed-partial coefficient variant of "
+                            "Delta_ij")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for sampled zero tests (default 0)")
         sp.add_argument("--out", help="output path (default stdout)")
+        return sp
 
-    add_common(sub.add_parser("validate", help="check parameter signs"),
-               params=True)
-    add_common(sub.add_parser("bracket", help="fields and raw brackets"),
-               params=True, e=True)
+    command("validate", _cmd_validate, "check parameter signs", e=False)
+    command("bracket", _cmd_bracket, "fields and raw brackets")
+    command("closure", _cmd_closure, "full closure scan", cross=True)
 
-    sp = sub.add_parser("closure", help="full closure scan")
-    add_common(sp, params=True, e=True)
-    sp.add_argument("--cross", choices=CROSS_VARIANTS, default="bracket_1",
-                    help="mixed-partial coefficient variant of Delta_ij")
-
-    sp = sub.add_parser("check-e", help="measure an E candidate on a grid")
-    add_common(sp, params=True, e=True, grid=True)
-    sp.add_argument("--cross", choices=CROSS_VARIANTS, default="bracket_1")
+    sp = command("check-e", _cmd_check_e, "measure an E candidate on a grid",
+                 grid=True, cross=True)
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="pass tolerance (default 1e-9)")
 
-    sp = sub.add_parser("homology", help="Betti numbers of the span algebra")
+    sp = command("homology", _cmd_homology,
+                 "Betti numbers of the span algebra", params=False, e=False)
     sp.add_argument("--c", default="identity",
                     help='"identity" or a JSON 3x3 matrix file')
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("simulate", help="fixed-step trajectory CSV")
-    add_common(sp, params=True, e=True)
+    sp = command("simulate", _cmd_simulate, "fixed-step trajectory CSV")
     sp.add_argument("--init", default="0,0,0",
                     help='"x,y,z" start state; write a negative first '
                     'value as --init=-0.5,0,0')
@@ -294,12 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    config = RunConfig(**fields)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return args.handler(args)
     except (OSError, ValueError, SymbolicError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

@@ -38,6 +38,7 @@ from .model import Params, build_fields
 from .symbolic import (
     E, Expr, all_atoms, as_expr, base_atoms, differentiate, epartial,
     eval_numeric, has_transcendental, is_zero, substitute, to_text, _RECIP,
+    _sample_rational,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -276,10 +277,6 @@ class ClosureReport:
             "cross_variant": self.cross_variant,
             "seed": self.seed,
         }
-
-
-def _sample_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
 
 
 def _span_dim_at_point(engine: ClosureEngine, rng: random.Random) -> int:

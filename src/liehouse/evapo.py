@@ -300,7 +300,7 @@ def _measure(expr: Expr, grid: Sequence, target: float,
     for gx, gy in grid:
         try:
             val = eval_numeric(expr, {ax: gx, ay: gy})
-        except (ZeroDivisionError, OverflowError):
+        except (ZeroDivisionError, OverflowError, ValueError):
             raise PoleError(
                 f"candidate is singular at grid point (x={gx}, y={gy})")
         if not math.isfinite(val):

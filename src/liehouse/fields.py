@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .symbolic import (
-    Expr, ZERO, as_expr, differentiate, to_text, _has_negative_power,
+    Expr, ZERO, add_all, as_expr, differentiate, to_text, _has_negative_power,
 )
 
 _COORDS = ("x", "y", "z")
@@ -63,24 +63,21 @@ ZERO_FIELD = VectorField(ZERO, ZERO, ZERO)
 def apply_to_scalar(f: VectorField, phi) -> Expr:
     """Directional derivative f(phi) = cx phi_x + cy phi_y + cz phi_z."""
     phi = as_expr(phi)
-    out = ZERO
-    for comp, v in zip(f.components(), _COORDS):
-        if comp.terms:
-            out = out + comp * differentiate(phi, v)
-    return out
+    return add_all(comp * differentiate(phi, v)
+                   for comp, v in zip(f.components(), _COORDS) if comp.terms)
 
 
 def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
     """[f, g], antisymmetric and R-bilinear, satisfying Jacobi."""
     comps = []
     for gi, fi in zip(g.components(), f.components()):
-        acc = ZERO
+        parts = []
         for fl, gl, v in zip(f.components(), g.components(), _COORDS):
             if fl.terms:
-                acc = acc + fl * differentiate(gi, v)
+                parts.append(fl * differentiate(gi, v))
             if gl.terms:
-                acc = acc - gl * differentiate(fi, v)
-        comps.append(acc)
+                parts.append(-(gl * differentiate(fi, v)))
+        comps.append(add_all(parts))
     return VectorField(*comps)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 DIM = 7
 _ZERO7 = (Fraction(0),) * DIM
@@ -87,7 +87,6 @@ class Algebra7:
     """
 
     def __init__(self, table: Mapping):
-        self.structure: Optional[StructureMatrix] = None
         store: dict = {}
         for (a, b), raw in table.items():
             if not (0 <= a < DIM and 0 <= b < DIM):
@@ -118,9 +117,7 @@ class Algebra7:
                     vec = [Fraction(0)] * DIM
                     vec[6] = val
                     table[(i, 3 + j)] = vec
-        alg = cls(table)
-        alg.structure = c
-        return alg
+        return cls(table)
 
     def bracket_basis(self, a: int, b: int) -> tuple:
         if a == b:

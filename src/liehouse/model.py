@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,16 @@ def _rational(value, where: str) -> Fraction:
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(
             f"{where} must be a finite number, got {value!r}") from None
+
+
+def _finite_real(value) -> bool:
+    """A real number (not a bool or a string) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 class InvalidParamsError(ValueError):
@@ -218,6 +229,12 @@ class ControlSchedule:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("control schedule needs at least one entry")
+        for e in self.entries:
+            if not (_is_row(e) and len(e) == 4
+                    and all(map(_finite_real, e))):
+                raise ValueError(
+                    f"each control entry is [t, u1, u2, u3] of finite "
+                    f"numbers, got {e!r}")
         times = [float(e[0]) for e in self.entries]
         # kept for value_at, which bisects it once per step
         object.__setattr__(self, "_times", times)
@@ -225,9 +242,6 @@ class ControlSchedule:
             raise ValueError("control schedule must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("control times must be strictly increasing")
-        for e in self.entries:
-            if len(e) != 4:
-                raise ValueError("each entry is (t, u1, u2, u3)")
 
     @classmethod
     def constant(cls, u1=0.0, u2=0.0, u3=0.0) -> "ControlSchedule":

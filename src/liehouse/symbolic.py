@@ -33,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
-Rational = Fraction
-
 VARIABLE_NAMES = ("x", "y", "z")
 PARAMETER_NAMES = (
     "alpha1", "alpha2", "alpha3",
@@ -183,14 +181,7 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            nc = acc.get(m, _ZERO_F) + c
-            if nc:
-                acc[m] = nc
-            elif m in acc:
-                del acc[m]
-        return _from_map(acc)
+        return _collect(other.terms, dict(self.terms))
 
     __radd__ = __add__
 
@@ -216,19 +207,8 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return ZERO
-        acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _merge_monomials(m1, m2)
-                c = c1 * c2
-                nc = acc.get(m, _ZERO_F) + c
-                if nc:
-                    acc[m] = nc
-                elif m in acc:
-                    del acc[m]
-        return _from_map(acc)
+        return _collect((_merge_monomials(m1, m2), c1 * c2)
+                        for m1, c1 in self.terms for m2, c2 in other.terms)
 
     __rmul__ = __mul__
 
@@ -291,10 +271,27 @@ def as_expr(value) -> Expr:
     return e
 
 
-def _from_map(acc: Mapping) -> Expr:
+def _collect(pairs, acc=None) -> Expr:
+    """The canonical sum of (monomial, coefficient) pairs added onto acc,
+    a monomial -> coefficient map the call consumes.  Every sum and
+    product in the kernel is built here, once."""
+    if acc is None:
+        acc = {}
+    for m, c in pairs:
+        nc = acc.get(m, _ZERO_F) + c
+        if nc:
+            acc[m] = nc
+        elif m in acc:
+            del acc[m]
     if not acc:
         return ZERO
     return Expr(tuple(sorted(acc.items(), key=lambda it: monomial_key(it[0]))))
+
+
+def add_all(exprs) -> Expr:
+    """The sum of many expressions, built once rather than one copy of
+    the growing sum per +."""
+    return _collect(pair for e in exprs for pair in e.terms)
 
 
 def _merge_monomials(m1, m2):
@@ -407,19 +404,6 @@ Z = var("z")
 E = epartial(0, 0)
 
 
-def normalize(e) -> Expr:
-    """Return the canonical form.  Construction already normalizes, so on
-    Expr inputs this re-merges the term list and is idempotent."""
-    acc: dict = {}
-    for m, c in as_expr(e).terms:
-        nc = acc.get(m, _ZERO_F) + c
-        if nc:
-            acc[m] = nc
-        elif m in acc:
-            del acc[m]
-    return _from_map(acc)
-
-
 # -- differentiation ---------------------------------------------------
 
 def _as_var_name(v) -> str:
@@ -474,26 +458,26 @@ def differentiate(e, v) -> Expr:
     expression.  Partials of E shift their order pair; tanh uses
     tanh' = 1 - tanh^2."""
     e = as_expr(e)
-    vname = _as_var_name(v)
-    acc: dict = {}
+    return _collect(_derivative_pairs(e, _as_var_name(v)))
+
+
+def _derivative_pairs(e: Expr, vname: str):
+    """The product rule, term by term: d(c * a^k * rest) contributes
+    c * k * a^(k-1) * rest * a'.  Dropping or lowering one exponent of a
+    sorted monomial leaves it sorted, and a reciprocal exponent stays
+    positive, so each pair is one merge with a term of a'."""
     for m, c in e.terms:
         for idx, (atom, k) in enumerate(m):
             datom = _diff_atom(atom, vname)
             if not datom.terms:
                 continue
-            rest = {a: p for a, p in m}
             if k == 1:
-                del rest[atom]
+                rest = m[:idx] + m[idx + 1:]
             else:
-                rest[atom] = k - 1
-            piece = _make_term(rest, c * k) * datom
-            for pm, pc in piece.terms:
-                nc = acc.get(pm, _ZERO_F) + pc
-                if nc:
-                    acc[pm] = nc
-                elif pm in acc:
-                    del acc[pm]
-    return _from_map(acc)
+                rest = m[:idx] + ((atom, k - 1),) + m[idx + 1:]
+            ck = c * k
+            for dm, dc in datom.terms:
+                yield _merge_monomials(rest, dm), ck * dc
 
 
 # -- substitution ------------------------------------------------------
@@ -558,13 +542,13 @@ class _Substitution:
         return out
 
     def run(self, e: Expr) -> Expr:
-        out = ZERO
+        pieces = []
         for m, c in e.terms:
             piece = as_expr(c)
             for atom, k in m:
                 piece = piece * self.atom_value(atom) ** k
-            out = out + piece
-        return out
+            pieces.append(piece)
+        return add_all(pieces)
 
 
 def substitute(e, bindings: Mapping) -> Expr:
@@ -587,23 +571,13 @@ def _eval_atom(atom: Atom, memo: dict) -> float:
         return got
     if atom.kind == _FUNC:
         name, arg = atom.data
-        val = getattr(math, name)(_eval_expr(arg, memo))
+        val = getattr(math, name)(_eval_terms(arg, memo)[0])
     elif atom.kind == _RECIP:
-        val = 1.0 / _eval_expr(atom.data, memo)
+        val = 1.0 / _eval_terms(atom.data, memo)[0]
     else:
         raise MissingAssignmentError(f"no value assigned to {atom!r}")
     memo[atom] = val
     return val
-
-
-def _eval_expr(e: Expr, memo: dict) -> float:
-    total = 0.0
-    for m, c in e.terms:
-        prod = float(c)
-        for atom, k in m:
-            prod *= _eval_atom(atom, memo) ** k
-        total += prod
-    return total
 
 
 def _eval_terms(e: Expr, memo: dict):
@@ -626,7 +600,7 @@ def eval_numeric(e, assignment: Mapping) -> float:
     expressions) to numbers; transcendentals and reciprocals evaluate
     through their contents unless assigned directly."""
     memo = {_as_atom(k): float(v) for k, v in assignment.items()}
-    return _eval_expr(as_expr(e), memo)
+    return _eval_terms(as_expr(e), memo)[0]
 
 
 class Program:
@@ -645,9 +619,9 @@ class Program:
 
 class _Lowering:
     """Emits one assignment per transcendental or reciprocal atom, in the
-    order _eval_expr first evaluates them, one per distinct power a ** k,
+    order _eval_terms first evaluates them, one per distinct power a ** k,
     and one sum per expression.  Every term is written as
-    c * a * p * ..., summed onto 0.0, so each value repeats _eval_expr's
+    c * a * p * ..., summed onto 0.0, so each value repeats _eval_terms's
     float operations exactly.  The text holds only generated names,
     float reprs, integer exponents and math function names: nothing a
     user typed."""
@@ -691,7 +665,7 @@ class _Lowering:
         try:
             return repr(float(c))
         except OverflowError:
-            # float(c) raises at each evaluation, as in _eval_expr
+            # float(c) raises at each evaluation, as in _eval_terms
             self.unrepresentable.append(c)
             return f"float(_big[{len(self.unrepresentable) - 1}])"
 
@@ -781,6 +755,11 @@ def _has_negative_power(e: Expr) -> bool:
     return False
 
 
+def _sample_rational(rng: random.Random) -> Fraction:
+    """A seeded uniform rational in [-2, 2] with denominator 10^6."""
+    return Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
+
+
 def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
             tol: float = 1e-9) -> bool:
     """Decide whether e is identically zero.
@@ -806,9 +785,7 @@ def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
         if attempts > 25 * points:
             raise EvaluationError(
                 "could not find enough finite sample points")
-        memo = {a: Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
-                for a in unknowns}
-        memo = {a: float(q) for a, q in memo.items()}
+        memo = {a: float(_sample_rational(rng)) for a in unknowns}
         try:
             value, scale = _eval_terms(e, memo)
         except (ZeroDivisionError, OverflowError, ValueError):

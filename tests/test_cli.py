@@ -192,6 +192,34 @@ def test_simulate_bad_ctrl(params_file, tmp_path, capsys):
                  "--ctrl", str(ctrl)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[5]",
+    '[[0, "nan", 0, 0]]',
+    "[[0, 1e400, 0, 0]]",
+])
+def test_simulate_bad_ctrl_entries_exit_two(params_file, tmp_path, capsys,
+                                            text):
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(text)
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--ctrl", str(ctrl)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: each control entry is [t, u1, u2, u3] of finite numbers")
+    assert captured.err.count("\n") == 1
+
+
+def test_check_e_math_domain_error_names_grid_point(params_file, capsys):
+    # x*y overflows to inf and sin(inf) is a math domain error
+    assert main(["check-e", "--params", params_file, "--e", "expr:sin(x*y)",
+                 "--grid", "1,1,1e200,1e200,1e200,1e200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: candidate is singular at grid point "
+                            "(x=1e+200, y=1e+200)\n")
+
+
 def test_bracket_report(params_file, tmp_path):
     out = tmp_path / "bracket.json"
     assert main(["bracket", "--params", params_file,

@@ -92,6 +92,21 @@ def test_reciprocal_atom_round_trip():
     assert is_zero(r * g - 1)
 
 
+@pytest.mark.parametrize("build,want", [
+    (lambda: 1 / (1 / (X + 1)), lambda: X + 1),
+    (lambda: (X / (X + 1)) ** -1, lambda: 1 + X ** -1),
+    (lambda: (X / (X * 3 + 3)) ** -2,
+     lambda: 9 + X ** -1 * 18 + X ** -2 * 9),
+    (lambda: (X * 2 / (X + 1) ** 2) ** -1,
+     lambda: 1 + X / 2 + X ** -1 / 2),
+])
+def test_inverting_a_monomial_with_a_reciprocal_atom(build, want):
+    # the reciprocal's negative power expands into its base: no atom left
+    got = build()
+    assert got == want()
+    assert not has_transcendental(got)
+
+
 # -- differentiation ----------------------------------------------------
 
 def _fd(e, assign, name, h=1e-5):
