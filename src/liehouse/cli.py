@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="mixed-partial coefficient variant of "
                             "Delta_ij")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled zero tests (default 0)")
+                        help="recorded in JSON reports; drives the sampled "
+                        "zero tests of closure (default 0)")
         sp.add_argument("--out", help="output path (default stdout)")
         return sp
 

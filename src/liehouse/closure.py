@@ -28,17 +28,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .fields import VectorField, apply_to_scalar, lie_bracket, proportional_to
-from .homology import rank_exact
 from .model import Params, build_fields
 from .symbolic import (
-    E, Expr, all_atoms, as_expr, base_atoms, differentiate, epartial,
-    eval_numeric, has_transcendental, is_zero, substitute, to_text, _RECIP,
-    _sample_rational,
+    E, Expr, all_atoms, as_expr, differentiate, epartial, is_zero,
+    substitute, to_text, _RECIP,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -253,7 +250,6 @@ class ClosureReport:
     delta3_zero: dict          # (i,j,k) -> bool
     lambda_zero: dict          # (i,j,k) -> bool
     b_central: list            # per k: [[f0,f_k],B] vanishes
-    realized_span_dim: int     # rank of the 7 generators at a sample point
     heisenberg: bool
     mode: str
     cross_variant: str
@@ -271,56 +267,11 @@ class ClosureReport:
             "lambda_zero": not lambda_fail,
             "lambda_failures": [list(k) for k in lambda_fail],
             "b_central": list(self.b_central),
-            "realized_span_dim": self.realized_span_dim,
             "heisenberg": self.heisenberg,
             "mode": self.mode,
             "cross_variant": self.cross_variant,
             "seed": self.seed,
         }
-
-
-def _span_dim_at_point(engine: ClosureEngine, rng: random.Random) -> int:
-    """Rank of the 7 generators evaluated at one random state.  The
-    generators live on R^3, so this is at most 3; it measures how much
-    of the abstract span is realized pointwise, not the abstract
-    dimension."""
-    fields_7 = list(engine.controls) + [engine.y(k) for k in _INDICES] \
-        + [engine.b]
-    comps = [comp for f in fields_7 for comp in f.components()]
-    atoms = set()
-    for comp in comps:
-        atoms |= base_atoms(comp)
-    assign = {}
-    for atom in sorted(atoms, key=lambda a: a.key):
-        assign[atom] = _sample_rational(rng)
-    if not any(has_transcendental(comp) for comp in comps):
-        rows = []
-        for f in fields_7:
-            row = []
-            for comp in f.components():
-                val = substitute(comp, assign)
-                if val.terms and (len(val.terms) > 1 or val.terms[0][0]):
-                    raise ClosureDefectError(
-                        "generator did not evaluate to a constant")
-                row.append(val.terms[0][1] if val.terms else Fraction(0))
-            rows.append(row)
-        return rank_exact(rows)
-    import numpy
-    from .symbolic import EvaluationError
-    ordered = sorted(atoms, key=lambda a: a.key)
-    for _ in range(20):
-        float_assign = {k: float(v) for k, v in assign.items()}
-        try:
-            mat = numpy.array([[eval_numeric(comp, float_assign)
-                                for comp in f.components()]
-                               for f in fields_7])
-        except (ZeroDivisionError, OverflowError, ValueError):
-            assign = {atom: _sample_rational(rng) for atom in ordered}
-            continue
-        if numpy.all(numpy.isfinite(mat)):
-            return int(numpy.linalg.matrix_rank(mat, tol=1e-9))
-        assign = {atom: _sample_rational(rng) for atom in ordered}
-    raise EvaluationError("no finite sample point for the generator rank")
 
 
 def check_closure(p: Params, e: Optional[Expr] = None,
@@ -336,6 +287,13 @@ def check_closure(p: Params, e: Optional[Expr] = None,
     otherwise.  A "symbolic" label does not mean every decision was
     exact: a tanh, exp, sin or cos atom alone already makes is_zero
     sample.
+
+    No pointwise rank of the seven generators is reported, because for
+    admissible parameters it is 3 at every state and for every E: f1
+    and f3 are independent in the (x, y) plane (gamma11 gamma23 -
+    gamma13 gamma21 > 0 under the sign constraints), and [f0, f1] has
+    the constant z-component -beta32 gamma21 != 0, since E enters only
+    the x and y components of f0.
     """
     rng = random.Random(seed)
     engine = ClosureEngine(p, e, cross_variant)
@@ -367,11 +325,9 @@ def check_closure(p: Params, e: Optional[Expr] = None,
                   and all(lambda_zero.values())
                   and offdiag_zero and diag_nonzero)
 
-    span_dim = _span_dim_at_point(engine, rng)
-
     return ClosureReport(
         c=c, constant_ok=constant_ok, delta3_zero=delta3_zero,
         lambda_zero=lambda_zero, b_central=b_central,
-        realized_span_dim=span_dim, heisenberg=heisenberg,
+        heisenberg=heisenberg,
         mode="numeric" if recip else "symbolic",
         cross_variant=cross_variant, seed=seed)

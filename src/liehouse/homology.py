@@ -28,6 +28,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Mapping, Sequence
 
+from .model import _is_row, _rational
+
 DIM = 7
 _ZERO7 = (Fraction(0),) * DIM
 
@@ -47,10 +49,12 @@ class StructureMatrix:
 
     @classmethod
     def of(cls, rows) -> "StructureMatrix":
-        r = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if len(r) != 3 or any(len(row) != 3 for row in r):
+        if not (_is_row(rows) and len(rows) == 3
+                and all(_is_row(row) and len(row) == 3 for row in rows)):
             raise ValueError("structure matrix must be 3x3")
-        return cls(r)
+        return cls(tuple(
+            tuple(_rational(v, "structure matrix entry") for v in row)
+            for row in rows))
 
     @classmethod
     def identity(cls) -> "StructureMatrix":

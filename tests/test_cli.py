@@ -153,10 +153,26 @@ def test_homology_from_file(tmp_path, capsys):
     assert report["c"][0][1] == "2"
 
 
-def test_homology_bad_matrix(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ("[[1,2],[0,1]]", "structure matrix must be 3x3"),
+    ("5", "structure matrix must be 3x3"),
+    ('{"c": null}', "structure matrix must be 3x3"),
+    ('["123", [4,5,6], [7,8,9]]', "structure matrix must be 3x3"),
+    ("[[1,2,3],[4,5,6],[7,8,[1]]]",
+     "structure matrix entry must be a finite number"),
+    ('[[1,2,3],[4,5,6],[7,8,"1/0"]]',
+     "structure matrix entry must be a finite number"),
+], ids=["2x2", "scalar", "null", "string_row", "nested_entry",
+        "zero_denominator"])
+def test_homology_bad_matrix(tmp_path, capsys, text, message):
     path = tmp_path / "c.json"
-    path.write_text("[[1,2],[0,1]]")
+    path.write_text(text)
     assert main(["homology", "--c", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_csv_shape(params_file, tmp_path):
@@ -270,6 +286,8 @@ def test_sampling_failure_exit_two(params_file, capsys):
     ["check-e", "--e", "expr:x*y", "--tol", "nan"],
     ["check-e", "--e", "expr:x*y", "--grid", "2,2,0,nan,0,1"],
     ["check-e", "--e", "expr:x*y", "--grid", "2,2,0,1,-inf,1"],
+    ["check-e", "--e", "expr:x*y", "--tol", "-1"],
+    ["check-e", "--e", "expr:x*y", "--tol", "0"],
 ])
 def test_non_finite_floats_exit_two(params_file, capsys, extra):
     argv = extra[:1] + ["--params", params_file] + extra[1:]
@@ -335,19 +353,27 @@ def test_nan_in_a_report_exit_two(params_file, capsys, monkeypatch):
 
 
 def test_check_e_and_simulate_leave_numpy_unloaded(params_file, tmp_path):
+    # every subcommand runs with numpy made unimportable
+    out = str(tmp_path / "out")
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "from liehouse.cli import main\n"
-        f"p = {params_file!r}\n"
+        f"p, o = {params_file!r}, {out!r}\n"
         "assert main(['check-e', '--params', p, '--e', 'tanh:1,2,1,3,1',"
-        f" '--out', {str(tmp_path / 'c.json')!r}]) == 1\n"
+        " '--out', o]) == 1\n"
         "assert main(['simulate', '--params', p, '--e', 'tanh:1,2,1,3,1',"
-        f" '--steps', '20', '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-        "print('numpy' in sys.modules)\n")
+        " '--steps', '20', '--out', o]) == 0\n"
+        "assert main(['closure', '--params', p, '--e', 'tanh:1,2,1,3,1',"
+        " '--out', o]) == 1\n"
+        "assert main(['bracket', '--params', p, '--out', o]) == 0\n"
+        "assert main(['homology', '--out', o]) == 0\n"
+        "assert main(['validate', '--params', p, '--out', o]) == 0\n"
+        "print('done')\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "done\n"

@@ -158,11 +158,27 @@ def test_check_closure_constant_delta():
     assert all(all(row) for row in rep.constant_ok)
     assert all(rep.delta3_zero.values())
     assert not rep.heisenberg
-    assert rep.realized_span_dim <= 3
     d = rep.to_dict()
     assert d["seed"] == 0
     assert d["cross_variant"] == "bracket_1"
     assert d["delta3_zero"] is True
+
+
+def test_f1_f3_y1_span_every_point_for_any_e():
+    # why check_closure reports no pointwise span rank: with formal E and
+    # symbolic parameters, det(f1, f3, [f0, f1]) is a constant that the
+    # sign constraints keep away from zero
+    p = Params.symbolic()
+    engine = ClosureEngine(p)
+    rows = [f.components() for f in
+            (engine.control(1), engine.control(3), engine.y(1))]
+    det = as_expr(0)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        det = det + rows[0][a] * (rows[1][b] * rows[2][c]
+                                  - rows[1][c] * rows[2][b])
+    g = p.gamma_entry
+    want = -p.beta32 * g(2, 1) * (g(1, 1) * g(2, 3) - g(1, 3) * g(2, 1))
+    assert det == want
 
 
 def test_check_closure_nonconstant_delta():
