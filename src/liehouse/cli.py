@@ -11,7 +11,9 @@ constant, check-e conditions not met, validate violations), 2 input
 error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, inadmissible parameters
 outside validate, non-finite --dt, --tol, --grid or --init values,
-singular candidates, zero tests without a finite sample point).
+singular candidates, zero tests without a finite sample point), 3
+internal error (an iterated bracket left the B line, which the model
+structure rules out: ClosureDefectError).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import sys
 from typing import Optional
 
-from .closure import CROSS_VARIANTS, check_closure
+from .closure import CROSS_VARIANTS, ClosureDefectError, check_closure
 from .evapo import (
     default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
@@ -254,6 +256,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, SymbolicError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except ClosureDefectError as err:
+        sys.stderr.write(f"error: internal: {err}\n")
+        return 3
 
 
 if __name__ == "__main__":

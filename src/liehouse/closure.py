@@ -8,8 +8,12 @@ of scalars behave:
     Delta_ijk E . B = [f_k, Delta_ij E . B]     third order in E
     Lambda_ijk E . B = [[f0, f_k], Delta_ij E . B]
 
-Every operator is computed here from the brackets themselves (the
-oracle route); closed-form coefficient expansions are provided
+Delta_ij and Delta_ijk come from the brackets themselves.  Lambda
+uses the Leibniz rule instead: B is a constant field with
+[Y_k, B] = s_k B (Y_k = [f0, f_k]), so [Y_k, phi B] = (Y_k(phi) +
+phi s_k) B and no bracket with Delta_ij B is built.  The literal
+brackets stay available as oracles (ClosureEngine.lam_with and
+delta3_bracket), and closed-form coefficient expansions are provided
 separately for cross-checking.  The closed form of Delta_ij circulates
 in two versions that differ in the mixed-partial coefficient: the
 bracket expansion gives (g_1i g_2j + g_2i g_1j) E_xy, while a doubled
@@ -35,7 +39,7 @@ from .fields import VectorField, apply_to_scalar, lie_bracket, proportional_to
 from .model import Params, build_fields
 from .symbolic import (
     E, Expr, all_atoms, as_expr, differentiate, epartial, is_zero,
-    substitute, to_text, _RECIP,
+    substitute, to_text, _RECIP, _diff_atom,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -80,7 +84,10 @@ class ClosureEngine:
     partials are replaced by the bound expression and its derivatives.
     cross_variant selects the Delta_ij route: the bracket for
     "bracket_1", the doubled coefficient expansion for "paper_2"; every
-    operator built on Delta_ij follows that choice."""
+    operator built on Delta_ij follows that choice.
+
+    Building an engine empties the atom-derivative memo of the kernel,
+    so the memo holds the derivatives of one candidate at a time."""
 
     def __init__(self, p: Params, e_binding: Optional[Expr] = None,
                  cross_variant: str = "bracket_1"):
@@ -98,7 +105,11 @@ class ClosureEngine:
         self.controls = (f1, f2, f3)
         self.b = b
         self._y: dict = {}
+        self._drift: dict = {}
         self._delta: dict = {}
+        self._delta3: dict = {}
+        self._lam: dict = {}
+        _diff_atom.cache_clear()
 
     def control(self, i: int) -> VectorField:
         _check_index(i)
@@ -124,48 +135,87 @@ class ClosureEngine:
 
     def delta(self, i: int, j: int) -> Expr:
         """Scalar of [f_i, [f0, f_j]] along B, or its paper_2
-        coefficient expansion when that variant is selected."""
+        coefficient expansion when that variant is selected.
+
+        Cached on the sorted pair: the controls are constant, so by
+        Jacobi [f_i, [f0, f_j]] - [f_j, [f0, f_i]] = [f0, [f_i, f_j]] = 0,
+        and the paper_2 expansion is symmetric in (i, j) by its form."""
         _check_index(i, j)
-        got = self._delta.get((i, j))
+        key = (i, j) if i <= j else (j, i)
+        got = self._delta.get(key)
         if got is None:
+            i, j = key
             if self.cross_variant == "bracket_1":
                 br = lie_bracket(self.control(i), self.y(j))
                 got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
             else:
                 got = delta_ij_formula(self.params, self.e_binding, i, j,
                                        self.cross_variant)
-            self._delta[(i, j)] = got
+            self._delta[key] = got
         return got
 
     def delta3(self, i: int, j: int, k: int) -> Expr:
         """f_k applied to delta(i, j); equals the scalar of
         [f_k, delta(i,j) B] because the f_k are constant and commute
-        with B."""
+        with B.
+
+        Cached on the sorted (i, j), and under bracket_1 on the fully
+        sorted triple: there Delta_ij = D_i D_j E with the constant
+        derivations D_i = gamma_1i d/dx + gamma_2i d/dy, so Delta_ijk =
+        D_k D_i D_j E is symmetric in all three indices.  The doubled
+        paper_2 cross term breaks that, so k stays in place there."""
         _check_index(i, j, k)
-        return apply_to_scalar(self.control(k), self.delta(i, j))
+        if self.cross_variant == "bracket_1":
+            key = tuple(sorted((i, j, k)))
+        else:
+            key = (i, j, k) if i <= j else (j, i, k)
+        got = self._delta3.get(key)
+        if got is None:
+            i, j, k = key
+            got = apply_to_scalar(self.control(k), self.delta(i, j))
+            self._delta3[key] = got
+        return got
 
     def delta3_bracket(self, i: int, j: int, k: int) -> Expr:
-        """Same scalar through the literal bracket route."""
+        """Same scalar through the literal bracket route (test oracle)."""
         br = lie_bracket(self.control(k), self.b.scaled(self.delta(i, j)))
         return self._multiple_of_b(br, f"[f_{k}, Delta_{i}{j} B]")
 
     def lam(self, i: int, j: int, k: int) -> Expr:
-        """Scalar of [[f0, f_k], delta(i,j) B] along B."""
+        """Scalar of [[f0, f_k], delta(i,j) B] along B, by the Leibniz
+        rule Y_k(phi) + phi s_k with phi = delta(i, j) and s_k =
+        b_drift_factor(k).  Cached on the sorted (i, j), because
+        delta(i, j) is symmetric (see delta); k is the bracket's own
+        direction and stays in place."""
         _check_index(i, j, k)
-        return self.lam_with(k, self.delta(i, j), f"Delta_{i}{j}")
+        key = (i, j, k) if i <= j else (j, i, k)
+        got = self._lam.get(key)
+        if got is None:
+            phi = self.delta(i, j)
+            got = apply_to_scalar(self.y(k), phi) + \
+                self.b_drift_factor(k) * phi
+            self._lam[key] = got
+        return got
 
-    def lam_with(self, k: int, phi: Expr, label: str = "phi") -> Expr:
-        """Scalar of [[f0, f_k], phi B] along B for any scalar phi."""
+    def lam_with(self, k: int, phi: Expr) -> Expr:
+        """Scalar of [[f0, f_k], phi B] along B for any scalar phi,
+        through the literal bracket (test oracle for lam)."""
         _check_index(k)
         br = lie_bracket(self.y(k), self.b.scaled(phi))
-        return self._multiple_of_b(br, f"[[f0, f_{k}], {label} B]")
+        return self._multiple_of_b(br, f"[[f0, f_{k}], phi B]")
 
     def b_drift_factor(self, k: int) -> Expr:
-        """Scalar s with [[f0, f_k], B] = s B; a nonzero value means B
-        fails to be central against the Y_k directions (diagnostic)."""
+        """Scalar s with [[f0, f_k], B] = s B, cached; a nonzero value
+        means B fails to be central against the Y_k directions.  This is
+        where the scan checks that [Y_k, B] stays on the B line, which
+        the Leibniz rule in lam relies on."""
         _check_index(k)
-        return self._multiple_of_b(
-            lie_bracket(self.y(k), self.b), f"[[f0, f_{k}], B]")
+        got = self._drift.get(k)
+        if got is None:
+            got = self._multiple_of_b(
+                lie_bracket(self.y(k), self.b), f"[[f0, f_{k}], B]")
+            self._drift[k] = got
+        return got
 
 
 def _bind_e(expr: Expr, e_binding: Optional[Expr]) -> Expr:
@@ -235,9 +285,10 @@ def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
 
 
 def lambda_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
-    """Mixed closure scalar [[f0, f_k], Delta_ij E . B] = Lambda B by
-    the bracket route.  No transcription of the long coefficient
-    expansion is kept; the bracket is the defining computation."""
+    """Mixed closure scalar [[f0, f_k], Delta_ij E . B] = Lambda B, by
+    the Leibniz rule of ClosureEngine.lam.  No transcription of the long
+    coefficient expansion is kept; ClosureEngine.lam_with builds the
+    bracket itself."""
     return ClosureEngine(p, e).lam(i, j, k)
 
 

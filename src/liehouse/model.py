@@ -52,14 +52,14 @@ def _is_row(value) -> bool:
 
 
 def _rational(value, where: str) -> Fraction:
-    """An exact parameter entry.  Whatever Fraction rejects (a list, a
-    mapping, null, an infinity, "1/0") is a ValueError naming the
-    entry."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+    """An exact parameter or structure-matrix entry.  The same rule as
+    for control entries (_finite_real): a string, a bool, a list, a
+    mapping, null, an infinity or a value beyond the float range is a
+    ValueError naming the entry."""
+    if not _finite_real(value):
         raise ValueError(
-            f"{where} must be a finite number, got {value!r}") from None
+            f"{where} must be a finite number, got {value!r}")
+    return Fraction(value)
 
 
 def _finite_real(value) -> bool:

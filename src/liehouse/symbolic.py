@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Mapping, Optional
 
 VARIABLE_NAMES = ("x", "y", "z")
@@ -418,7 +418,9 @@ def _as_var_name(v) -> str:
     raise ValueError(f"cannot differentiate with respect to {v!r}")
 
 
-@lru_cache(maxsize=8192)
+# Unbounded; every ClosureEngine empties it, so it holds the atom
+# derivatives of one candidate at a time.
+@cache
 def _diff_atom(atom: Atom, vname: str) -> Expr:
     if atom.kind == _VAR:
         return ONE if atom.data == vname else ZERO

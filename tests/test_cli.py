@@ -162,8 +162,14 @@ def test_homology_from_file(tmp_path, capsys):
      "structure matrix entry must be a finite number"),
     ('[[1,2,3],[4,5,6],[7,8,"1/0"]]',
      "structure matrix entry must be a finite number"),
+    ('[["1/2",0,0],[0,1,0],[0,0,1]]',
+     "structure matrix entry must be a finite number"),
+    ('[[1,0,0],[0," 3 ",0],[0,0,1]]',
+     "structure matrix entry must be a finite number"),
+    ("[[1,0,0],[0,1,0],[0,0,true]]",
+     "structure matrix entry must be a finite number"),
 ], ids=["2x2", "scalar", "null", "string_row", "nested_entry",
-        "zero_denominator"])
+        "zero_denominator", "string_fraction", "string_padded", "bool"])
 def test_homology_bad_matrix(tmp_path, capsys, text, message):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -324,6 +330,12 @@ _BETA = GOOD["beta"]
     ({"alpha": [1, 2, 3], "beta": _BETA, "gamma": [[1, 2, 3], {"a": 1}]},
      "gamma must be a 2x3 table"),
     ([1, 2, 3], "must hold a JSON object"),
+    ({"alpha": ["1/2", 2, 3], "beta": _BETA, "gamma": GOOD["gamma"]},
+     "alpha entry must be a finite number"),
+    ({"alpha": [1, 2, 3], "beta": dict(_BETA, b12=" 3 "),
+      "gamma": GOOD["gamma"]}, "beta entry b12 must be a finite number"),
+    ({"alpha": [1, 2, 3], "beta": _BETA, "gamma": [[2, 1, True], [-1, -2, 1]]},
+     "gamma entry must be a finite number"),
 ])
 def test_params_shapes_exit_two(tmp_path, capsys, data, message):
     path = tmp_path / "shape.json"
@@ -377,3 +389,15 @@ def test_check_e_and_simulate_leave_numpy_unloaded(params_file, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "done\n"
+
+
+def test_closure_defect_is_internal_error_exit_three(params_file, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr("liehouse.closure.proportional_to",
+                        lambda f, ref: None)
+    assert main(["closure", "--params", params_file, "--e", "expr:x*y"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+    assert "is not a multiple of B" in captured.err
+    assert captured.err.count("\n") == 1

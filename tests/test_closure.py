@@ -5,18 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liehouse.closure import (
     CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij, delta_ij_formula,
     delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
 )
+from liehouse.evapo import (
+    CharacteristicFamily, TanhConstants, e_characteristic, e_tanh,
+)
 from liehouse.fields import apply_to_scalar, lie_bracket, proportional_to
 from liehouse.model import Params, demo_params
 from liehouse.symbolic import (
-    as_expr, epartial, is_zero, substitute, to_text, var,
+    as_expr, differentiate, epartial, is_zero, substitute, tanh, to_text,
+    var, _diff_atom,
 )
 
-from conftest import rand_params, rand_poly
+from conftest import rand_params, rand_poly, rand_univariate
 
 X, Y = var("x"), var("y")
 E = epartial(0, 0)
@@ -239,3 +245,56 @@ def test_engine_variant_routes_every_operator():
         assert engine.lam(i, j, 3) == engine.lam_with(3, cij)
     with pytest.raises(ValueError):
         ClosureEngine(p, e, "paper_3")
+
+
+@st.composite
+def engine_cases(draw):
+    """Random admissible parameters with a tanh, char or polynomial E,
+    under either cross variant."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rand_params(rng)
+    family = draw(st.sampled_from(("tanh", "char", "poly")))
+    if family == "tanh":
+        c3, c4 = draw(st.sampled_from(((1, 3), (-1, 2), (0, 1), (2, 0))))
+        e = e_tanh(p, TanhConstants.of(draw(st.integers(-2, 2)),
+                                       draw(st.integers(1, 3)), c3, c4,
+                                       draw(st.sampled_from(IDX))))
+    elif family == "char":
+        i, j = draw(st.sampled_from(
+            [(i, j) for i in IDX for j in IDX if i != j]))
+        shapes = (rand_univariate(rng, 3), tanh(X), X * tanh(X))
+        e = e_characteristic(p, CharacteristicFamily(
+            f1=draw(st.sampled_from(shapes)),
+            f2=draw(st.sampled_from(shapes)), i=i, j=j,
+            diagonal_term=draw(st.booleans())))
+    else:
+        e = rand_poly(rng, degree=3, vars3=False)
+    return p, e, draw(st.sampled_from(CROSS_VARIANTS))
+
+
+@settings(max_examples=12, deadline=None)
+@given(engine_cases())
+def test_cached_leibniz_operators_match_bracket_oracles(case):
+    p, e, variant = case
+    engine = ClosureEngine(p, e, variant)
+    for i in IDX:
+        for j in IDX:
+            if variant == "bracket_1":
+                br = lie_bracket(engine.control(i), engine.y(j))
+                uncached = proportional_to(br, engine.b)
+            else:
+                uncached = delta_ij_formula(p, e, i, j, variant)
+            assert engine.delta(i, j) == uncached
+            assert engine.delta(i, j) == engine.delta(j, i)
+            for k in IDX:
+                assert engine.lam(i, j, k) == \
+                    engine.lam_with(k, engine.delta(i, j))
+                assert engine.delta3(i, j, k) == \
+                    engine.delta3_bracket(i, j, k)
+
+
+def test_engine_empties_the_derivative_memo():
+    differentiate(tanh(X * Y) + X ** 3, "x")
+    assert _diff_atom.cache_info().currsize > 0
+    ClosureEngine(demo_params(), tanh(X) * Y)
+    assert _diff_atom.cache_info().currsize == 0

@@ -260,6 +260,41 @@ def test_generic_structure_betti_ends(rng):
         assert euler_characteristic(alg) == 0
 
 
+def _heisenberg_betti(n: int) -> list:
+    """Betti numbers of h_{2n+1} (Santharoubane, Proc. AMS 87, 1983):
+    b_p = C(2n, p) - C(2n, p - 2) for p <= n, and b_{2n+1-p} = b_p."""
+    low = [comb(2 * n, p) - (comb(2 * n, p - 2) if p >= 2 else 0)
+           for p in range(n + 1)]
+    return low + low[::-1]
+
+
+def _closed_form_betti(r: int) -> list:
+    """Kunneth product of h_{2r+1} with the exterior algebra of
+    R^{6-2r}: a rank-r structure matrix splits the algebra that way."""
+    heis = _heisenberg_betti(r)
+    return [sum(heis[q] * comb(6 - 2 * r, p - q)
+                for q in range(len(heis)) if 0 <= p - q <= 6 - 2 * r)
+            for p in range(DIM + 1)]
+
+
+def _integer_matrix_of_rank(rng: random.Random, r: int) -> list:
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(3)]
+        b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(r)]
+        rows = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(3)]
+                for i in range(3)]
+        if np.linalg.matrix_rank(np.array(rows, dtype=float)) == r:
+            return rows
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_betti_closed_form_depends_only_on_rank(rng, r):
+    for _ in range(3):
+        rows = _integer_matrix_of_rank(rng, r)
+        betti = betti_numbers(build_algebra(StructureMatrix.of(rows)))
+        assert betti == _closed_form_betti(r), rows
+
+
 def test_homology_report_shape():
     rep = homology_report(build_algebra(StructureMatrix.identity()))
     assert rep["heisenberg"] is True
