@@ -107,7 +107,7 @@ class CharacteristicFamily:
         for f in (self.f1, self.f2, self.f3):
             if f is None:
                 continue
-            for atom in base_atoms(f):
+            for atom in sorted(base_atoms(f), key=lambda a: a.key):
                 if atom.kind == _VAR and atom.data != "x":
                     raise ValueError(
                         f"shapes are unary (in x); found {atom!r}")

@@ -11,7 +11,9 @@ beta33, gamma11..gamma23), and E with its partials written E_x, E_xy,
 E_xxy and so on (all x's before all y's).  Functions are tanh, exp,
 sin, cos.  Numbers are nonnegative integers or decimal literals, read
 exactly; rationals are spelled with '/' as in 3/2.  Exponents may be
-negative integers, e.g. x^-2.
+negative integers, e.g. x^-2; a zero base under a negative exponent is
+a division by zero.  Parentheses and function calls nest at most
+MAX_NESTING levels deep.
 
 parse is the inverse of symbolic.to_text on canonical forms.
 """
@@ -25,6 +27,12 @@ from .symbolic import (
     Expr, FUNCTION_NAMES, PARAMETER_NAMES, VARIABLE_NAMES, as_expr,
     epartial, param, var, _func_expr,
 )
+
+
+# Each level costs the recursive descent five stack frames, so the bound
+# keeps parse (and the kernel's walks over the nested arguments it
+# builds) far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -78,6 +86,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         if self.i < len(self.tokens):
@@ -140,7 +149,11 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.take()
-            return base ** self.integer()
+            n = self.integer()
+            if n < 0 and not base.terms:
+                _, _, pos = self.peek()
+                raise ParseError("division by zero", pos)
+            return base ** n
         return base
 
     def integer(self) -> int:
@@ -156,6 +169,17 @@ class _Parser:
                              pos)
         return sign * int(text)
 
+    def nested(self, pos: int) -> Expr:
+        """The expression inside an opened parenthesis, through its ')'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
+
     def base(self) -> Expr:
         kind, text, pos = self.take()
         if kind == "num":
@@ -165,16 +189,12 @@ class _Parser:
                 nk, nt, _ = self.peek()
                 if nk == "op" and nt == "(":
                     self.take()
-                    arg = self.expr()
-                    self.expect_op(")")
-                    return _func_expr(text, arg)
+                    return _func_expr(text, self.nested(pos))
                 raise ParseError(f"function {text!r} needs an argument list",
                                  pos)
             return _ident_to_expr(text, pos)
         if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.nested(pos)
         shown = "end of input" if kind is None else repr(text)
         raise ParseError(f"expected a value, found {shown}", pos)
 

@@ -17,7 +17,10 @@ like 1/(c4 + c3*tanh(u)) closed under differentiation and substitution.
 Reciprocal bases are normalized to leading coefficient one so that equal
 quotients collapse to equal atoms.
 
-Two expressions are equal exactly when their canonical forms coincide.
+Atoms are hash-consed through one weak table keyed by their structural
+key: equal atoms are one object, compared and hashed by identity, and
+the table keeps an atom only while some live expression holds it.  Two
+expressions are equal exactly when their canonical forms coincide.
 On the fragment without transcendental or reciprocal atoms this makes
 zero-testing a decision procedure; with them, is_zero falls back to
 seeded random evaluation.  All structural arithmetic uses
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional
@@ -63,74 +67,64 @@ class EvaluationError(SymbolicError):
 
 
 class Atom:
-    """An indivisible symbol.  Immutable, hashable, totally ordered by key.
+    """An indivisible symbol, hash-consed.  Immutable, totally ordered by key.
 
-    data is the flavor-specific payload: a name for coordinates and
-    parameters, an (a, b) order pair for partials of E, a (name, Expr)
-    pair for transcendentals, and the base Expr for reciprocals.
+    Every atom is built by _atom, which returns the one live atom with a
+    given structural key, so equal atoms are the same object and compare
+    and hash by identity.  data is the flavor-specific payload: a name
+    for coordinates and parameters, an (a, b) order pair for partials of
+    E, a (name, Expr) pair for transcendentals, and the base Expr for
+    reciprocals.
     """
 
-    __slots__ = ("kind", "data", "key", "_hash")
+    __slots__ = ("kind", "data", "key", "__weakref__")
 
     def __init__(self, kind, data, key):
         self.kind = kind
         self.data = data
         self.key = key
-        self._hash = hash(key)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.key == other.key
+    def __reduce__(self):
+        # copy, deepcopy and pickle come back through the table
+        return _atom, (self.kind, self.data, self.key)
 
     def __repr__(self):
         return _atom_text(self)
 
 
-_var_cache: dict = {}
-_param_cache: dict = {}
-_epartial_cache: dict = {}
+# key -> atom, weak so that an entry lives exactly as long as its atom
+_atoms = weakref.WeakValueDictionary()
+
+
+def _atom(kind, data, key) -> Atom:
+    atom = _atoms.get(key)
+    if atom is None:
+        atom = _atoms[key] = Atom(kind, data, key)
+    return atom
 
 
 def _var_atom(name: str) -> Atom:
-    atom = _var_cache.get(name)
-    if atom is None:
-        if name not in VARIABLE_NAMES:
-            raise ValueError(f"unknown coordinate {name!r}")
-        atom = Atom(_VAR, name, (_VAR, name))
-        _var_cache[name] = atom
-    return atom
+    if name not in VARIABLE_NAMES:
+        raise ValueError(f"unknown coordinate {name!r}")
+    return _atom(_VAR, name, (_VAR, name))
 
 
 def _param_atom(name: str) -> Atom:
-    atom = _param_cache.get(name)
-    if atom is None:
-        atom = Atom(_PARAM, name, (_PARAM, name))
-        _param_cache[name] = atom
-    return atom
+    return _atom(_PARAM, name, (_PARAM, name))
 
 
 def _epartial_atom(a: int, b: int) -> Atom:
-    atom = _epartial_cache.get((a, b))
-    if atom is None:
-        if a < 0 or b < 0:
-            raise ValueError("partial orders must be nonnegative")
-        atom = Atom(_EPARTIAL, (a, b), (_EPARTIAL, a, b))
-        _epartial_cache[(a, b)] = atom
-    return atom
+    if a < 0 or b < 0:
+        raise ValueError("partial orders must be nonnegative")
+    return _atom(_EPARTIAL, (a, b), (_EPARTIAL, a, b))
 
 
 def _func_atom(name: str, arg: "Expr") -> Atom:
-    return Atom(_FUNC, (name, arg), (_FUNC, name, arg.key))
+    return _atom(_FUNC, (name, arg), (_FUNC, name, arg.key))
 
 
 def _recip_atom(base: "Expr") -> Atom:
-    return Atom(_RECIP, base, (_RECIP, base.key))
+    return _atom(_RECIP, base, (_RECIP, base.key))
 
 
 # A monomial is a tuple of (Atom, exponent) pairs sorted by atom key with
@@ -174,6 +168,10 @@ class Expr:
         if other is None:
             return NotImplemented
         return self.terms == other.terms
+
+    def __reduce__(self):
+        # the cached hash mixes atom addresses, so a copy recomputes it
+        return Expr, (self.terms,)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -310,7 +308,7 @@ def _merge_monomials(m1, m2):
     while i < n1 and j < n2:
         a1, k1 = m1[i]
         a2, k2 = m2[j]
-        if a1.key == a2.key:
+        if a1 is a2:
             k = k1 + k2
             if k:
                 out.append((a1, k))

@@ -401,3 +401,33 @@ def test_closure_defect_is_internal_error_exit_three(params_file, capsys,
     assert captured.err.startswith("error: internal: ")
     assert "is not a multiple of B" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("0^-1", "position 4: division by zero"),
+    ("(x-x)^-2", "position 8: division by zero"),
+    ("tanh(0^-1)", "position 9: division by zero"),
+    ("(" * 400 + "x" + ")" * 400,
+     "position 100: nesting deeper than 100 levels"),
+], ids=["zero_power", "zero_sum_power", "zero_power_in_tanh", "nested_400"])
+def test_bad_expression_exit_two_with_one_line(params_file, capsys, expr,
+                                               message):
+    assert main(["closure", "--params", params_file,
+                 "--e", "expr:" + expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_shape_error_names_the_same_atom_under_any_hash_seed():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [sys.executable, "-m", "liehouse.cli", "closure", "--params",
+            os.path.join(root, "tests", "golden", "cli", "params.json"),
+            "--e", "char:1,2:y*z;x"]
+    for seed in ("0", "5", "11", "12"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == "error: shapes are unary (in x); found y\n"

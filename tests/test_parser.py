@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from liehouse.parsing import ParseError, parse
+from liehouse.parsing import MAX_NESTING, ParseError, parse
 from liehouse.symbolic import as_expr, to_text
 
 from test_symbolic import polys
@@ -125,3 +125,16 @@ def test_errors_carry_positions(text, pos, fragment):
     assert err.value.position == pos
     assert fragment in str(err.value)
     assert f"position {pos}" in str(err.value)
+
+
+def test_nesting_bound():
+    parens = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(parens) == parse("x")
+    calls = "tanh(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert to_text(parse(calls)) == calls
+    for deeper in ("(" + parens + ")", "sin(" + calls + ")",
+                   "tanh(" * 60 + "(" * (MAX_NESTING - 59) + "x"
+                   + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(ParseError) as err:
+            parse(deeper)
+        assert f"nesting deeper than {MAX_NESTING} levels" in str(err.value)

@@ -1,14 +1,22 @@
 """Kernel tests: canonical arithmetic, differentiation against finite
 differences, substitution semantics, and zero decisions."""
 
+import copy
+import gc
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liehouse.symbolic as symbolic
+from liehouse.parsing import parse
 from liehouse.symbolic import (
     InconsistentBindingError, MissingAssignmentError, all_atoms, as_expr,
     base_atoms, compile_exprs, cos, differentiate, epartial, eval_numeric,
@@ -375,3 +383,65 @@ def test_all_atoms_keeps_function_and_reciprocal_atoms():
     assert sorted(repr(a) for a in all_atoms(e)) == [
         "(3 + tanh(x + alpha1))^-1", "alpha1", "tanh(x + alpha1)", "x"]
     assert sorted(repr(a) for a in base_atoms(e)) == ["alpha1", "x"]
+
+
+# -- the atom table -----------------------------------------------------
+
+def _only_atom(e):
+    (mono, _c), = e.terms
+    (atom, _k), = mono
+    return atom
+
+
+def test_equal_atoms_are_one_object():
+    t = _only_atom(parse("tanh(x*y)"))
+    assert _only_atom(tanh(X * Y)) is t
+    d = differentiate(tanh(X * Y), "x")
+    assert [a for a in all_atoms(d) if a.kind == symbolic._FUNC] == [t]
+    r = _only_atom(substitute(as_expr(1) / (X + param("alpha1")),
+                              {param("alpha1"): 3}))
+    assert r.kind == symbolic._RECIP
+    assert r is _only_atom(as_expr(1) / (X + 3))
+
+
+def test_copies_and_pickles_come_back_through_the_table():
+    e = tanh(X * Y) + X + as_expr(1) / (Y + tanh(X))
+    ids = {id(a) for a in all_atoms(e)}
+    for copied in (copy.copy(e), copy.deepcopy(e),
+                   pickle.loads(pickle.dumps(e))):
+        assert copied == e
+        assert {id(a) for a in all_atoms(copied)} == ids
+        assert e + copied == 2 * e
+        assert to_text(e + copied) == "2*x + 2*tanh(x*y) + 2*(y + tanh(x))^-1"
+
+
+def test_pickle_from_another_process_hashes_like_the_original():
+    text = "tanh(x*y) + 1/(y + tanh(x))"
+    script = ("import pickle, sys\n"
+              "from liehouse.parsing import parse\n"
+              f"e = parse({text!r})\n"
+              "hash(e)\n"
+              "sys.stdout.buffer.write(pickle.dumps(e))\n")
+    src = os.path.dirname(os.path.dirname(symbolic.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=60, check=True)
+    loaded = pickle.loads(done.stdout)
+    assert loaded == parse(text)
+    assert hash(loaded) == hash(parse(text))
+    assert loaded in {parse(text)}
+
+
+def test_atom_table_follows_live_expressions():
+    # with the cyclic collector off, only reference counts free atoms
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(symbolic._atoms)
+        e = tanh(X * Y + Fraction(1, 7)) / (X + tanh(Y - Fraction(3, 11)))
+        assert len(symbolic._atoms) == before + 3
+        del e
+        assert len(symbolic._atoms) == before
+    finally:
+        if enabled:
+            gc.enable()
