@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .fields import VectorField, apply_to_scalar, lie_bracket, proportional_to
+from .fields import VectorField, along, gradient, lie_bracket, proportional_to
 from .model import Params, build_fields
 from .symbolic import (
-    E, Expr, all_atoms, as_expr, differentiate, epartial, is_zero,
+    E, Expr, all_atoms, as_expr, epartial, is_zero,
     substitute, to_text, _RECIP, _diff_atom,
 )
 
@@ -86,6 +86,11 @@ class ClosureEngine:
     "bracket_1", the doubled coefficient expansion for "paper_2"; every
     operator built on Delta_ij follows that choice.
 
+    grad(i, j) caches the three partials of delta(i, j) on the sorted
+    pair, where delta is symmetric, so each distinct Delta_ij is
+    differentiated once per coordinate: delta3, lam and the constancy
+    test of check_closure all read that one gradient.
+
     Building an engine empties the atom-derivative memo of the kernel,
     so the memo holds the derivatives of one candidate at a time."""
 
@@ -107,6 +112,7 @@ class ClosureEngine:
         self._y: dict = {}
         self._drift: dict = {}
         self._delta: dict = {}
+        self._grad: dict = {}
         self._delta3: dict = {}
         self._lam: dict = {}
         _diff_atom.cache_clear()
@@ -154,10 +160,21 @@ class ClosureEngine:
             self._delta[key] = got
         return got
 
+    def grad(self, i: int, j: int) -> tuple:
+        """gradient(delta(i, j)), the partials in x, y and z, cached on
+        the sorted pair as delta is."""
+        _check_index(i, j)
+        key = (i, j) if i <= j else (j, i)
+        got = self._grad.get(key)
+        if got is None:
+            got = gradient(self.delta(*key))
+            self._grad[key] = got
+        return got
+
     def delta3(self, i: int, j: int, k: int) -> Expr:
-        """f_k applied to delta(i, j); equals the scalar of
-        [f_k, delta(i,j) B] because the f_k are constant and commute
-        with B.
+        """f_k applied to delta(i, j), read off the cached grad(i, j);
+        equals the scalar of [f_k, delta(i,j) B] because the f_k are
+        constant and commute with B.
 
         Cached on the sorted (i, j), and under bracket_1 on the fully
         sorted triple: there Delta_ij = D_i D_j E with the constant
@@ -172,7 +189,7 @@ class ClosureEngine:
         got = self._delta3.get(key)
         if got is None:
             i, j, k = key
-            got = apply_to_scalar(self.control(k), self.delta(i, j))
+            got = along(self.control(k), self.grad(i, j))
             self._delta3[key] = got
         return got
 
@@ -184,16 +201,16 @@ class ClosureEngine:
     def lam(self, i: int, j: int, k: int) -> Expr:
         """Scalar of [[f0, f_k], delta(i,j) B] along B, by the Leibniz
         rule Y_k(phi) + phi s_k with phi = delta(i, j) and s_k =
-        b_drift_factor(k).  Cached on the sorted (i, j), because
-        delta(i, j) is symmetric (see delta); k is the bracket's own
-        direction and stays in place."""
+        b_drift_factor(k); Y_k(phi) is read off the cached grad(i, j).
+        Cached on the sorted (i, j), because delta(i, j) is symmetric
+        (see delta); k is the bracket's own direction and stays in
+        place."""
         _check_index(i, j, k)
         key = (i, j, k) if i <= j else (j, i, k)
         got = self._lam.get(key)
         if got is None:
-            phi = self.delta(i, j)
-            got = apply_to_scalar(self.y(k), phi) + \
-                self.b_drift_factor(k) * phi
+            got = along(self.y(k), self.grad(i, j)) + \
+                self.b_drift_factor(k) * self.delta(i, j)
             self._lam[key] = got
         return got
 
@@ -356,9 +373,9 @@ def check_closure(p: Params, e: Optional[Expr] = None,
     recip = any(atom.kind == _RECIP
                 for expr in scanned for atom in all_atoms(expr))
 
-    constant_ok = [[is_zero(differentiate(c[i][j], "x"), rng)
-                    and is_zero(differentiate(c[i][j], "y"), rng)
-                    for j in range(3)] for i in range(3)]
+    grads = [[engine.grad(i, j) for j in _INDICES] for i in _INDICES]
+    constant_ok = [[is_zero(g[0], rng) and is_zero(g[1], rng) for g in row]
+                   for row in grads]
 
     delta3_zero = {}
     lambda_zero = {}

@@ -60,11 +60,23 @@ class VectorField:
 ZERO_FIELD = VectorField(ZERO, ZERO, ZERO)
 
 
+def gradient(phi) -> tuple:
+    """The partials (phi_x, phi_y, phi_z)."""
+    phi = as_expr(phi)
+    return tuple(differentiate(phi, v) for v in _COORDS)
+
+
+def along(f: VectorField, grad) -> Expr:
+    """Directional derivative cx phi_x + cy phi_y + cz phi_z from the
+    gradient of phi, summing only the pairs where both factors are
+    nonzero; a caller that keeps a gradient reuses it across fields."""
+    return add_all(comp * d for comp, d in zip(f.components(), grad)
+                   if comp.terms and d.terms)
+
+
 def apply_to_scalar(f: VectorField, phi) -> Expr:
     """Directional derivative f(phi) = cx phi_x + cy phi_y + cz phi_z."""
-    phi = as_expr(phi)
-    return add_all(comp * differentiate(phi, v)
-                   for comp, v in zip(f.components(), _COORDS) if comp.terms)
+    return along(f, gradient(phi))
 
 
 def lie_bracket(f: VectorField, g: VectorField) -> VectorField:

@@ -23,9 +23,11 @@ the table keeps an atom only while some live expression holds it.  Two
 expressions are equal exactly when their canonical forms coincide.
 On the fragment without transcendental or reciprocal atoms this makes
 zero-testing a decision procedure; with them, is_zero falls back to
-seeded random evaluation.  All structural arithmetic uses
-fractions.Fraction; floats appear only in eval_numeric, in the programs
-compile_exprs builds, and in sampling.
+seeded random evaluation.  Structural arithmetic is exact: a
+coefficient is an int when its denominator is 1 and a
+fractions.Fraction otherwise, and the two compare, hash and print alike,
+so the choice never shows in a result.  Floats appear only in
+eval_numeric, in the programs compile_exprs builds, and in sampling.
 """
 
 from __future__ import annotations
@@ -135,14 +137,22 @@ def monomial_key(mono) -> tuple:
 
 
 def _atom_expr(atom: Atom) -> "Expr":
-    return Expr(((((atom, 1),), Fraction(1)),))
+    return Expr(((((atom, 1),), 1),))
+
+
+def _coef(c):
+    """The exact coefficient c, as an int when its denominator is 1."""
+    if c.denominator == 1:
+        return int(c.numerator)
+    return c
 
 
 class Expr:
     """Canonical sum of terms.  Treat instances as immutable.
 
     terms is a tuple of (monomial, coefficient) sorted by monomial key,
-    with nonzero Fraction coefficients.  The empty tuple is zero.
+    with nonzero coefficients, each an int or a Fraction whose
+    denominator exceeds 1 (see _coef).  The empty tuple is zero.
     """
 
     __slots__ = ("terms", "_key", "_hash")
@@ -234,10 +244,9 @@ class Expr:
         while n:
             if n & 1:
                 out = out * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __str__(self):
@@ -246,9 +255,8 @@ class Expr:
     __repr__ = __str__
 
 
-_ZERO_F = Fraction(0)
 ZERO = Expr()
-ONE = Expr((((), Fraction(1)),))
+ONE = Expr((((), 1),))
 
 
 def _coerce(value) -> Optional[Expr]:
@@ -257,7 +265,7 @@ def _coerce(value) -> Optional[Expr]:
     if isinstance(value, (int, Fraction)):
         if value == 0:
             return ZERO
-        return Expr((((), Fraction(value)),))
+        return Expr((((), _coef(value)),))
     return None
 
 
@@ -272,12 +280,15 @@ def as_expr(value) -> Expr:
 def _collect(pairs, acc=None) -> Expr:
     """The canonical sum of (monomial, coefficient) pairs added onto acc,
     a monomial -> coefficient map the call consumes.  Every sum and
-    product in the kernel is built here, once."""
+    product in the kernel is built here, once; a sum whose denominator
+    is 1 is kept as an int."""
     if acc is None:
         acc = {}
     for m, c in pairs:
-        nc = acc.get(m, _ZERO_F) + c
+        nc = acc.get(m, 0) + c
         if nc:
+            if nc.__class__ is Fraction and nc.denominator == 1:
+                nc = nc.numerator
             acc[m] = nc
         elif m in acc:
             del acc[m]
@@ -325,7 +336,7 @@ def _merge_monomials(m1, m2):
     return tuple(out)
 
 
-def _make_term(powers: Mapping, coeff: Fraction) -> Expr:
+def _make_term(powers: Mapping, coeff) -> Expr:
     """Build an expression from an atom -> exponent map.
 
     Zero exponents are dropped.  A negative power of a reciprocal atom is
@@ -344,7 +355,7 @@ def _make_term(powers: Mapping, coeff: Fraction) -> Expr:
         else:
             mono.append((atom, k))
     mono.sort(key=lambda it: it[0].key)
-    e = Expr(((tuple(mono), Fraction(coeff)),))
+    e = Expr(((tuple(mono), _coef(coeff)),))
     for base, k in pending:
         e = e * base ** k
     return e
@@ -355,10 +366,9 @@ def _invert(e: Expr) -> Expr:
         raise ZeroDivisionError("division by a zero expression")
     if len(e.terms) == 1:
         m, c = e.terms[0]
-        return _make_term({a: -k for a, k in m}, 1 / Fraction(c))
-    lead_m, lead_c = e.terms[-1]
-    base = e * (1 / Fraction(lead_c))
-    return _atom_expr(_recip_atom(base)) * (1 / Fraction(lead_c))
+        return _make_term({a: -k for a, k in m}, Fraction(1, c))
+    inv = Fraction(1, e.terms[-1][1])
+    return _atom_expr(_recip_atom(e * inv)) * inv
 
 
 # -- constructors ------------------------------------------------------
@@ -450,7 +460,7 @@ def _diff_atom(atom: Atom, vname: str) -> Expr:
     dbase = differentiate(base, vname)
     if not dbase.terms:
         return ZERO
-    return _make_term({atom: 2}, Fraction(-1)) * dbase
+    return _make_term({atom: 2}, -1) * dbase
 
 
 def differentiate(e, v) -> Expr:
@@ -821,7 +831,7 @@ def _atom_power_text(atom: Atom, k: int) -> str:
     return base if k == 1 else f"{base}^{k}"
 
 
-def _term_text(m, c_abs: Fraction) -> str:
+def _term_text(m, c_abs) -> str:
     if not m:
         return str(c_abs)
     factors = []

@@ -15,14 +15,17 @@ from liehouse.closure import (
 from liehouse.evapo import (
     CharacteristicFamily, TanhConstants, e_characteristic, e_tanh,
 )
-from liehouse.fields import apply_to_scalar, lie_bracket, proportional_to
+from liehouse.fields import (
+    VectorField, ZERO_FIELD, along, apply_to_scalar, gradient, lie_bracket,
+    proportional_to,
+)
 from liehouse.model import Params, demo_params
 from liehouse.symbolic import (
     as_expr, differentiate, epartial, is_zero, substitute, tanh, to_text,
     var, _diff_atom,
 )
 
-from conftest import rand_params, rand_poly, rand_univariate
+from conftest import rand_field, rand_params, rand_poly, rand_univariate
 
 X, Y = var("x"), var("y")
 E = epartial(0, 0)
@@ -291,6 +294,31 @@ def test_cached_leibniz_operators_match_bracket_oracles(case):
                     engine.lam_with(k, engine.delta(i, j))
                 assert engine.delta3(i, j, k) == \
                     engine.delta3_bracket(i, j, k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(engine_cases(), st.integers(0, 2 ** 32 - 1), st.sampled_from(range(4)))
+def test_cached_gradient_is_symmetric_and_matches_differentiate(
+        case, seed, zeroed):
+    p, e, variant = case
+    engine = ClosureEngine(p, e, variant)
+    rng = random.Random(seed)
+    field = rand_field(rng)
+    if zeroed < 3:  # a field with one zero component, like the controls
+        comps = list(field.components())
+        comps[zeroed] = as_expr(0)
+        field = VectorField(*comps)
+    for i in IDX:
+        for j in IDX:
+            phi = engine.delta(i, j)
+            grad = engine.grad(i, j)
+            assert grad == engine.grad(j, i)
+            assert grad == tuple(differentiate(phi, v) for v in "xyz")
+            assert grad == gradient(phi)
+            for f in (field, ZERO_FIELD, engine.control(i), engine.y(j)):
+                direct = f.cx * grad[0] + f.cy * grad[1] + f.cz * grad[2]
+                assert apply_to_scalar(f, phi) == along(f, gradient(phi))
+                assert along(f, grad) == direct
 
 
 def test_engine_empties_the_derivative_memo():

@@ -223,6 +223,55 @@ def test_eval_numeric_pole():
         eval_numeric(r, {X: 0.0})
 
 
+def _all_coefficients(e):
+    """The coefficients of e and of every transcendental argument and
+    reciprocal base inside it."""
+    out = [c for _m, c in e.terms]
+    for atom in all_atoms(e):
+        if atom.kind == symbolic._FUNC:
+            out.extend(c for _m, c in atom.data[1].terms)
+        elif atom.kind == symbolic._RECIP:
+            out.extend(c for _m, c in atom.data.terms)
+    return out
+
+
+def _integer_first(c):
+    return c != 0 and (type(c) is int
+                       or (type(c) is Fraction and c.denominator > 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), rationals, st.integers(-2, 3))
+def test_coefficients_are_integer_first(a, b, q, n):
+    # b * b + 1 has constant term at least 1, so it is never zero
+    den = b * b + 1
+    results = [a + b, a - b, -a, a * b, a * q, a + q, a / den, den ** -1,
+               symbolic._invert(den), a ** max(n, 0),
+               differentiate(a * tanh(b) / den, "x"),
+               differentiate(a ** 2 * Fraction(1, 3), "y"),
+               substitute(a * tanh(b), {X: b * q, Y: as_expr(q)}),
+               substitute(E * X, {E: a * Fraction(1, 2)}),
+               parse(to_text(a * q / den))]
+    if a.terms:
+        results += [b / a, a ** n, symbolic._invert(a)]
+    for r in results:
+        assert all(_integer_first(c) for c in _all_coefficients(r)), r
+        # a denominator-1 Fraction equals and hashes like its int
+        as_fractions = symbolic.Expr(
+            tuple((m, Fraction(c)) for m, c in r.terms))
+        assert as_fractions == r
+        assert hash(as_fractions) == hash(r)
+        loaded = pickle.loads(pickle.dumps(r))
+        assert loaded == r and hash(loaded) == hash(r)
+        assert [type(c) for _m, c in loaded.terms] == \
+            [type(c) for _m, c in r.terms]
+    direct = symbolic.Expr((((), Fraction(2)),))
+    assert direct == as_expr(2) and hash(direct) == hash(as_expr(2))
+    assert pickle.loads(pickle.dumps(direct)) == as_expr(2)
+    assert type(as_expr(Fraction(2)).terms[0][1]) is int
+    assert type(as_expr(True).terms[0][1]) is int
+
+
 # -- compiled programs --------------------------------------------------
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
