@@ -23,7 +23,9 @@ import json
 import sys
 from typing import Optional
 
-from .closure import CROSS_VARIANTS, ClosureDefectError, check_closure
+from .closure import (
+    CROSS_VARIANTS, ClosureDefectError, ClosureEngine, check_closure,
+)
 from .evapo import (
     default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
@@ -100,9 +102,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
-    from .closure import ClosureEngine
-    from .fields import lie_bracket
-
     p = _admissible_params(args)
     e = descriptor_to_expr(p, args.e) if args.e else None
     engine = ClosureEngine(p, e)
@@ -110,16 +109,12 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
     def field_text(f):
         return [to_text(c) for c in f.components()]
 
-    commute = all(
-        lie_bracket(engine.control(i), engine.control(j)).is_zero_field()
-        for i in (1, 2, 3) for j in (1, 2, 3))
     report = {
         "command": "bracket",
         "f0": field_text(engine.f0),
         "controls": {str(i): field_text(engine.control(i))
                      for i in (1, 2, 3)},
         "b": field_text(engine.b),
-        "controls_commute": commute,
         "y": {str(k): field_text(engine.y(k)) for k in (1, 2, 3)},
         "delta": {f"{i}{j}": to_text(engine.delta(i, j))
                   for i in (1, 2, 3) for j in (1, 2, 3)},

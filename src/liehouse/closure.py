@@ -18,9 +18,10 @@ separately for cross-checking.  The closed form of Delta_ij circulates
 in two versions that differ in the mixed-partial coefficient: the
 bracket expansion gives (g_1i g_2j + g_2i g_1j) E_xy, while a doubled
 coefficient also appears in print.  Both are available via
-cross_variant ("bracket_1", the default, and "paper_2"); the bracket
-route is canonical and the doubled version is reported as a deviation
-when the two disagree.
+cross_variant ("bracket_1", the default, and "paper_2"), and both start
+from the bracket: paper_2 adds one more (g_1i g_2j + g_2i g_1j) E_xy to
+it.  The bracket route is canonical and the doubled version is reported
+as a deviation when the two disagree.
 
 The span {X_i = f_i, Y_i = [f0, f_i], Z = B} has seven abstract
 generators; check_closure reports whether the scalars make the
@@ -38,7 +39,7 @@ from typing import Optional
 from .fields import VectorField, along, gradient, lie_bracket, proportional_to
 from .model import Params, build_fields
 from .symbolic import (
-    E, Expr, all_atoms, as_expr, epartial, is_zero,
+    E, Expr, all_atoms, differentiate, epartial, is_zero,
     substitute, to_text, _RECIP, _diff_atom,
 )
 
@@ -80,10 +81,10 @@ def _check_index(*indices: int) -> None:
 
 class ClosureEngine:
     """Caches the model fields and repeated brackets for one (params, E)
-    pair.  e_binding None leaves E formal; otherwise E and all of its
-    partials are replaced by the bound expression and its derivatives.
-    cross_variant selects the Delta_ij route: the bracket for
-    "bracket_1", the doubled coefficient expansion for "paper_2"; every
+    pair.  e None leaves E formal in f0; otherwise e, closed over the
+    parameters (e_binding), is written where E enters f0.
+    cross_variant selects the mixed-partial coefficient of Delta_ij:
+    the bracket's own for "bracket_1", twice that for "paper_2"; every
     operator built on Delta_ij follows that choice.
 
     grad(i, j) caches the three partials of delta(i, j) on the sorted
@@ -94,21 +95,14 @@ class ClosureEngine:
     Building an engine empties the atom-derivative memo of the kernel,
     so the memo holds the derivatives of one candidate at a time."""
 
-    def __init__(self, p: Params, e_binding: Optional[Expr] = None,
+    def __init__(self, p: Params, e: Optional[Expr] = None,
                  cross_variant: str = "bracket_1"):
         _check_variant(cross_variant)
-        self.params = p
         self.cross_variant = cross_variant
-        if e_binding is not None and not p.is_symbolic():
-            e_binding = substitute(e_binding, p.bindings())
-        self.e_binding = e_binding
-        f0, f1, f2, f3, b = build_fields(p)
-        if e_binding is not None:
-            bind = {E: e_binding}
-            f0 = VectorField(*(substitute(c, bind) for c in f0.components()))
-        self.f0 = f0
+        self.e_binding = None if e is None else p.close(e)
+        e = E if e is None else self.e_binding
+        self.f0, f1, f2, f3, self.b = build_fields(p, e)
         self.controls = (f1, f2, f3)
-        self.b = b
         self._y: dict = {}
         self._drift: dict = {}
         self._delta: dict = {}
@@ -116,6 +110,8 @@ class ClosureEngine:
         self._delta3: dict = {}
         self._lam: dict = {}
         _diff_atom.cache_clear()
+        if cross_variant == "paper_2":
+            self._e_xy = differentiate(differentiate(e, "x"), "y")
 
     def control(self, i: int) -> VectorField:
         _check_index(i)
@@ -140,23 +136,23 @@ class ClosureEngine:
         return phi
 
     def delta(self, i: int, j: int) -> Expr:
-        """Scalar of [f_i, [f0, f_j]] along B, or its paper_2
-        coefficient expansion when that variant is selected.
+        """Scalar of [f_i, [f0, f_j]] along B.  paper_2 adds
+        (g_1i g_2j + g_2i g_1j) E_xy to it, doubling the mixed-partial
+        coefficient, which is all that sets the two variants apart.
 
         Cached on the sorted pair: the controls are constant, so by
         Jacobi [f_i, [f0, f_j]] - [f_j, [f0, f_i]] = [f0, [f_i, f_j]] = 0,
-        and the paper_2 expansion is symmetric in (i, j) by its form."""
+        and the added paper_2 term is symmetric in (i, j) by its form."""
         _check_index(i, j)
         key = (i, j) if i <= j else (j, i)
         got = self._delta.get(key)
         if got is None:
             i, j = key
-            if self.cross_variant == "bracket_1":
-                br = lie_bracket(self.control(i), self.y(j))
-                got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
-            else:
-                got = delta_ij_formula(self.params, self.e_binding, i, j,
-                                       self.cross_variant)
+            br = lie_bracket(self.control(i), self.y(j))
+            got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
+            if self.cross_variant == "paper_2":
+                fi, fj = self.control(i), self.control(j)
+                got = got + (fi.cx * fj.cy + fi.cy * fj.cx) * self._e_xy
             self._delta[key] = got
         return got
 
@@ -248,7 +244,8 @@ def delta_ij(p: Params, e: Optional[Expr], i: int, j: int) -> Expr:
 
 def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
                      cross_variant: str = "bracket_1") -> Expr:
-    """Coefficient expansion of delta_ij over the second partials of E.
+    """Coefficient expansion of delta_ij over the second partials of E,
+    the independent oracle for ClosureEngine.delta under either variant.
 
     bracket_1 puts (g_1i g_2j + g_2i g_1j) on E_xy, matching the
     bracket route; paper_2 doubles that coefficient.
@@ -257,7 +254,7 @@ def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
     _check_index(i, j)
 
     def g(row, idx):
-        return as_expr(p.gamma_entry(row, idx))
+        return p.gamma_entry(row, idx)
 
     cross = g(1, i) * g(2, j) + g(2, i) * g(1, j)
     if cross_variant == "paper_2":
@@ -265,9 +262,7 @@ def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
     out = (g(1, i) * g(1, j) * epartial(2, 0)
            + cross * epartial(1, 1)
            + g(2, i) * g(2, j) * epartial(0, 2))
-    if p.is_symbolic():
-        return _bind_e(out, e)
-    return substitute(_bind_e(out, e), p.bindings())
+    return p.close(_bind_e(out, e))
 
 
 def delta_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
@@ -284,10 +279,10 @@ def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
     _check_index(i, j, k)
 
     def g(row, idx):
-        return as_expr(p.gamma_entry(row, idx))
+        return p.gamma_entry(row, idx)
 
     def magic_sum(n):
-        total = as_expr(0)
+        total = 0
         for s1, s2, s3 in magic_tuples(3, n):
             total = total + g(s1, i) * g(s2, j) * g(s3, k)
         return total
@@ -296,9 +291,7 @@ def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
            + magic_sum(4) * epartial(2, 1)
            + magic_sum(5) * epartial(1, 2)
            + g(2, i) * g(2, j) * g(2, k) * epartial(0, 3))
-    if p.is_symbolic():
-        return _bind_e(out, e)
-    return substitute(_bind_e(out, e), p.bindings())
+    return p.close(_bind_e(out, e))
 
 
 def lambda_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:

@@ -32,7 +32,7 @@ from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
 from .parsing import parse
 from .symbolic import (
-    Expr, as_expr, base_atoms, compile_exprs, eval_numeric, evaluate,
+    Expr, base_atoms, compile_exprs, eval_numeric, evaluate,
     substitute, tanh, var,
     _PARAM, _VAR,
 )
@@ -64,15 +64,11 @@ class TanhConstants:
 def e_tanh(p: Params, c: TanhConstants) -> Expr:
     """The tanh quotient candidate.  Needs gamma_1i nonzero (it divides
     the argument); the result is constant along the i-th line."""
-    g1 = as_expr(p.gamma_entry(1, c.i))
-    g2 = as_expr(p.gamma_entry(2, c.i))
+    g1 = p.gamma_entry(1, c.i)
     if g1 == 0:
         raise ValueError(f"gamma_1{c.i} must be nonzero")
-    x, y = var("x"), var("y")
-    arg = (as_expr(c.c1) * g1 - as_expr(c.c2) * g2 * x
-           + as_expr(c.c2) * g1 * y) / g1
-    denom = as_expr(c.c4) + as_expr(c.c3) * tanh(arg)
-    return 1 / denom
+    arg = c.c1 + c.c2 * characteristic_line(p, c.i) / g1
+    return 1 / (c.c4 + c.c3 * tanh(arg))
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,7 @@ def characteristic_line(p: Params, idx: int) -> Expr:
     """-gamma_2idx x + gamma_1idx y, annihilated by the idx-th
     directional operator."""
     _check_index(idx)
-    g1 = as_expr(p.gamma_entry(1, idx))
-    g2 = as_expr(p.gamma_entry(2, idx))
+    g1, g2 = p.gamma_entry(1, idx), p.gamma_entry(2, idx)
     return -g2 * var("x") + g1 * var("y")
 
 
@@ -131,8 +126,7 @@ def e_characteristic(p: Params, fam: CharacteristicFamily) -> Expr:
     if fam.f3 is not None:
         out = out + substitute(fam.f3, {x: characteristic_line(p, fam.k)})
     if fam.diagonal_term:
-        g1i = as_expr(p.gamma_entry(1, fam.i))
-        g1j = as_expr(p.gamma_entry(1, fam.j))
+        g1i, g1j = p.gamma_entry(1, fam.i), p.gamma_entry(1, fam.j)
         out = out + x ** 2 / (2 * g1i * g1j)
     return out
 

@@ -30,7 +30,7 @@ from typing import IO, Mapping, Sequence, Union
 
 from .fields import VectorField
 from .symbolic import (
-    E, Expr, as_expr, compile_exprs, evaluate, param, substitute, var,
+    E, Expr, compile_exprs, evaluate, param, substitute, var,
 )
 
 Value = Union[Fraction, Expr]
@@ -160,14 +160,14 @@ class Params:
         """gamma_(row)i with 1-based indices, row in {1, 2}, i in {1,2,3}."""
         return self.gamma[row - 1][i - 1]
 
-    def bindings(self) -> dict:
-        """Map every parameter atom to this instance's value."""
+    def close(self, expr: Expr) -> Expr:
+        """expr with every parameter atom replaced by this instance's
+        value.  A symbolic instance holds the atoms themselves, so expr
+        comes back unchanged."""
         if self.is_symbolic():
-            return {}
-        out = {}
-        for name, _ in _SIGN_TABLE:
-            out[param(name)] = as_expr(self.value(name))
-        return out
+            return expr
+        return substitute(expr, {param(name): self.value(name)
+                                 for name, _ in _SIGN_TABLE})
 
 
 def validate_params(p: Params) -> list:
@@ -196,20 +196,21 @@ def demo_params() -> Params:
     )
 
 
-def build_fields(p: Params):
+def build_fields(p: Params, e: Expr = E):
     """(f0, f1, f2, f3, B) for admissible parameters.
 
-    f0 carries the formal E atom; bind it via substitute (or let the
-    closure layer do so) to study a concrete evapotranspiration law.
-    Raises InvalidParamsError when the sign constraints fail.
+    e is written where E enters f0, along -B: the formal E atom by
+    default, or a concrete evapotranspiration law (close it with
+    p.close first when it names parameters).  Raises InvalidParamsError
+    when the sign constraints fail.
     """
     violations = validate_params(p)
     if violations:
         raise InvalidParamsError(violations)
     x, y, z = var("x"), var("y"), var("z")
     f0 = VectorField(
-        p.alpha1 + p.beta11 * x + p.beta12 * E,
-        p.alpha2 + p.beta22 * y + p.beta22p * E + p.beta13 * z,
+        p.alpha1 + p.beta11 * x + p.beta12 * e,
+        p.alpha2 + p.beta22 * y + p.beta22p * e + p.beta13 * z,
         p.alpha3 + p.beta32 * y + p.beta33 * z,
     )
     controls = tuple(
@@ -290,9 +291,7 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     n + 1 samples.  A non-finite or unevaluable right-hand side stops
     the run early and flags the trajectory as diverged.
     """
-    violations = validate_params(p)
-    if violations:
-        raise InvalidParamsError(violations)
+    f0 = build_fields(p, p.close(e_expr))[0]
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
@@ -302,14 +301,9 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     if not all(math.isfinite(v) for v in init):
         raise ValueError(f"init must be finite, got {tuple(init)}")
 
-    bind = dict(p.bindings())
-    e_closed = substitute(e_expr, bind) if bind else e_expr
-    bind_e = {E: e_closed}
-    f0 = build_fields(p)[0]
-    drift = [substitute(c, bind_e) for c in f0.components()]
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]
     g2 = [float(p.gamma_entry(2, i)) for i in (1, 2, 3)]
-    program = compile_exprs(drift, (var("x"), var("y"), var("z")))
+    program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
 
     def rhs(state, u):
         dx, dy, dz = evaluate(program, state)

@@ -247,7 +247,6 @@ def test_bracket_report(params_file, tmp_path):
     assert main(["bracket", "--params", params_file,
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["controls_commute"] is True
     assert report["b"] == ["-2", "1/2", "0"]
     assert report["delta"]["11"] == "E_yy - 4*E_xy + 4*E_xx"
     # third component of [f0, f_k] is -gamma_2k * beta32

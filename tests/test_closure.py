@@ -5,24 +5,26 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liehouse import closure
 from liehouse.closure import (
     CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij, delta_ij_formula,
     delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
 )
 from liehouse.evapo import (
     CharacteristicFamily, TanhConstants, e_characteristic, e_tanh,
+    verify_candidate,
 )
 from liehouse.fields import (
     VectorField, ZERO_FIELD, along, apply_to_scalar, gradient, lie_bracket,
     proportional_to,
 )
-from liehouse.model import Params, demo_params
+from liehouse.model import Params, build_fields, demo_params
 from liehouse.symbolic import (
-    as_expr, differentiate, epartial, is_zero, substitute, tanh, to_text,
-    var, _diff_atom,
+    as_expr, differentiate, epartial, is_zero, param, substitute, tanh,
+    to_text, var, _diff_atom,
 )
 
 from conftest import rand_field, rand_params, rand_poly, rand_univariate
@@ -326,3 +328,48 @@ def test_engine_empties_the_derivative_memo():
     assert _diff_atom.cache_info().currsize > 0
     ClosureEngine(demo_params(), tanh(X) * Y)
     assert _diff_atom.cache_info().currsize == 0
+
+
+PARAM_NAMES = (
+    "alpha1", "alpha2", "alpha3", "beta11", "beta12", "beta13", "beta22",
+    "beta22p", "beta32", "beta33", "gamma11", "gamma12", "gamma13",
+    "gamma21", "gamma22", "gamma23",
+)
+_SYMBOLIC = Params.symbolic()
+
+
+@settings(max_examples=12, deadline=None)
+@given(engine_cases())
+@example((_SYMBOLIC, e_tanh(_SYMBOLIC, TanhConstants.of(1, 2, 1, 3, 1)),
+          "bracket_1"))
+def test_build_fields_writes_the_closed_e_into_the_drift(case):
+    p, e, variant = case
+    closed = p.close(e)
+    f0 = build_fields(p, closed)[0]
+    formal = build_fields(p)[0]
+    assert f0.components() == tuple(
+        substitute(c, {E: closed}) for c in formal.components())
+    assert ClosureEngine(p, e, variant).f0 == f0
+
+    assert _SYMBOLIC.close(X) is X
+    demo = demo_params()
+    expr = param("alpha1") * X + tanh(param("gamma11") * Y)
+    every = {param(name): demo.value(name) for name in PARAM_NAMES}
+    assert demo.close(expr) == substitute(expr, every) == X + tanh(2 * Y)
+
+
+def test_paper_2_scan_needs_no_coefficient_oracle(monkeypatch):
+    p = demo_params()
+    cases = (X ** 3 * Y + X * Y ** 2,
+             e_tanh(p, TanhConstants.of(1, 2, 1, 3, 1)))
+    want = [(check_closure(p, e, cross_variant="paper_2"),
+             verify_candidate(p, e, cross_variant="paper_2"))
+            for e in cases]
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the closure scan called delta_ij_formula")
+
+    monkeypatch.setattr(closure, "delta_ij_formula", oracle)
+    for e, (report, measured) in zip(cases, want):
+        assert check_closure(p, e, cross_variant="paper_2") == report
+        assert verify_candidate(p, e, cross_variant="paper_2") == measured
