@@ -31,7 +31,7 @@ from .evapo import (
 )
 from .homology import StructureMatrix, build_algebra, homology_report
 from .model import (
-    ControlSchedule, InvalidParamsError, Params, simulate, validate_params,
+    ControlSchedule, Params, require_admissible, simulate, validate_params,
 )
 from .symbolic import SymbolicError, to_text
 
@@ -49,9 +49,7 @@ def _emit_json(report: dict, out: Optional[str]) -> None:
 
 def _admissible_params(args: argparse.Namespace) -> Params:
     p = Params.from_file(args.params)
-    violations = validate_params(p)
-    if violations:
-        raise InvalidParamsError(violations)
+    require_admissible(p)
     return p
 
 

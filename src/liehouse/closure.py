@@ -37,7 +37,7 @@ from itertools import product
 from typing import Optional
 
 from .fields import VectorField, along, gradient, lie_bracket, proportional_to
-from .model import Params, build_fields
+from .model import Params, build_fields, require_admissible
 from .symbolic import (
     E, Expr, all_atoms, differentiate, epartial, is_zero,
     substitute, to_text, _RECIP, _diff_atom,
@@ -99,6 +99,7 @@ class ClosureEngine:
                  cross_variant: str = "bracket_1"):
         _check_variant(cross_variant)
         self.cross_variant = cross_variant
+        require_admissible(p)
         self.e_binding = None if e is None else p.close(e)
         e = E if e is None else self.e_binding
         self.f0, f1, f2, f3, self.b = build_fields(p, e)

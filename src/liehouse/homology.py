@@ -11,8 +11,9 @@ coefficients comes from the Koszul complex on the exterior algebra,
 
 with the bracket wedged in front, so sorting it into place costs one
 sign per smaller remaining index.  Chains are ordered by lexicographic
-index subsets.  All matrix work is exact: Fraction entries, ranks by
-fraction-free Bareiss elimination on integer-scaled rows.
+index subsets.  All matrix work is exact: an entry with denominator 1
+is an int (symbolic._coef), so an integer c builds no Fraction, and
+ranks come from gcd-reduced integer row elimination (rank_exact).
 
 Betti numbers follow from rank-nullity,
 b_p = C(7, p) - rank d_p - rank d_{p+1}, and the alternating sum of the
@@ -25,17 +26,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .model import _is_row, _rational
+from .symbolic import _coef
 
 DIM = 7
-_ZERO7 = (Fraction(0),) * DIM
+_ZERO7 = (0,) * DIM
 
 
 def _vec(values) -> tuple:
-    out = tuple(Fraction(v) for v in values)
+    out = tuple(_coef(v if isinstance(v, (int, Fraction)) else Fraction(v))
+                for v in values)
     if len(out) != DIM:
         raise ValueError(f"bracket vectors need {DIM} entries")
     return out
@@ -118,7 +121,7 @@ class Algebra7:
             for j in range(3):
                 val = c.rows[i][j]
                 if val:
-                    vec = [Fraction(0)] * DIM
+                    vec = [0] * DIM
                     vec[6] = val
                     table[(i, 3 + j)] = vec
         return cls(table)
@@ -133,10 +136,9 @@ class Algebra7:
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """[u, v] for coordinate vectors u, v."""
-        out = [Fraction(0)] * DIM
+        out = [0] * DIM
         for (a, b), vec in self.table.items():
-            coeff = Fraction(u[a]) * Fraction(v[b]) \
-                - Fraction(u[b]) * Fraction(v[a])
+            coeff = u[a] * v[b] - u[b] * v[a]
             if coeff:
                 for m, w in enumerate(vec):
                     if w:
@@ -152,11 +154,10 @@ def build_algebra(c: StructureMatrix) -> Algebra7:
 
 def jacobi_check(algebra: Algebra7) -> bool:
     """Exact Jacobi identity over all basis triples."""
-    basis = [tuple(Fraction(int(i == t)) for t in range(DIM))
-             for i in range(DIM)]
+    basis = [tuple(int(i == t) for t in range(DIM)) for i in range(DIM)]
     for a, b, c in combinations(range(DIM), 3):
         ea, eb, ec = basis[a], basis[b], basis[c]
-        total = [Fraction(0)] * DIM
+        total = [0] * DIM
         for first, second, third in ((ea, eb, ec), (eb, ec, ea),
                                      (ec, ea, eb)):
             inner = algebra.bracket(first, second)
@@ -196,64 +197,62 @@ def boundary_matrix(algebra: Algebra7, p: int):
     cols = subsets(p)
     rows = subsets(p - 1)
     row_index = {s: n for n, s in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    mat = [[0] * len(cols) for _ in rows]
     for col, subset in enumerate(cols):
-        for r in range(p):
-            for s in range(r + 1, p):
-                vec = algebra.bracket_basis(subset[r], subset[s])
-                if not any(vec):
+        # the table holds the nonzero brackets [e_a, e_b], a < b only
+        for (a, b), vec in algebra.table.items():
+            if a not in subset or b not in subset:
+                continue
+            r, s = subset.index(a), subset.index(b)
+            # 1-based slots r+1, s+1 give the (-1)^(r+s) pair sign
+            pair_sign = -1 if (r + s) % 2 else 1
+            rest = subset[:r] + subset[r + 1:s] + subset[s + 1:]
+            for m, w in enumerate(vec):
+                if not w or m in rest:
                     continue
-                # 1-based slots r+1, s+1 give the (-1)^(r+s) pair sign
-                pair_sign = -1 if (r + s + 2) % 2 else 1
-                rest = subset[:r] + subset[r + 1:s] + subset[s + 1:]
-                for m, w in enumerate(vec):
-                    if not w or m in rest:
-                        continue
-                    smaller = sum(1 for t in rest if t < m)
-                    sign = pair_sign * (-1 if smaller % 2 else 1)
-                    target = tuple(sorted(rest + (m,)))
-                    mat[row_index[target]][col] += sign * w
+                smaller = sum(1 for t in rest if t < m)
+                sign = pair_sign * (-1 if smaller % 2 else 1)
+                target = tuple(sorted(rest + (m,)))
+                mat[row_index[target]][col] += sign * w
     return mat
 
 
 def rank_exact(rows) -> int:
-    """Rank by fraction-free Bareiss elimination.  Rows are scaled to
-    integers first, so every interior division is exact."""
-    if not rows:
-        return 0
+    """Rank of rows of ints and Fractions by integer row elimination.
+    Nonzero rows are scaled by the lcm of their denominators, so integer
+    rows cost nothing.  Under each pivot only a row with head != 0
+    changes: it becomes lead * row - head * pivot_row, divided by its
+    gcd.
+
+    Plain Bareiss (Math. Comp. 22, 1968) rewrites every row below the
+    pivot.  Here each row is a rational multiple of the Bareiss row,
+    with the same pivots, and is either a scaled input row or primitive,
+    so its entries are no larger than Bareiss's minors."""
+    n_cols = len(rows[0]) if rows else 0
     mat = []
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        scale = 1
-        for v in fracs:
-            scale = lcm(scale, v.denominator)
-        mat.append([int(v * scale) for v in fracs])
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    if any(len(r) != n_cols for r in mat):
-        raise ValueError("ragged matrix")
+        if len(row) != n_cols:
+            raise ValueError("ragged matrix")
+        if any(row):
+            scale = lcm(*(v.denominator for v in row))
+            mat.append([v.numerator * (scale // v.denominator)
+                        for v in row])
     rank = 0
-    prev = 1
     for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if mat[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(rank + 1, n_rows):
+        row_p = mat[rank]
+        lead = row_p[col]
+        for r in range(rank + 1, len(mat)):
             head = mat[r][col]
-            row_r = mat[r]
-            row_p = mat[rank]
-            for c2 in range(col + 1, n_cols):
-                row_r[c2] = (lead * row_r[c2] - head * row_p[c2]) // prev
-            row_r[col] = 0
-        prev = lead
+            if head:
+                new = [lead * a - head * b for a, b in zip(mat[r], row_p)]
+                g = gcd(*new)
+                mat[r] = [v // g for v in new] if g > 1 else new
         rank += 1
-        if rank == n_rows:
+        if rank == len(mat):
             break
     return rank
 
@@ -262,7 +261,7 @@ def _mat_mul(a, b):
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         row = a[i]
         for t in range(k):

@@ -184,6 +184,15 @@ def validate_params(p: Params) -> list:
     return violations
 
 
+def require_admissible(p: Params) -> None:
+    """Raise InvalidParamsError when p violates the sign constraints.
+    Callers check before p.close, since a candidate E may divide by a
+    parameter that an inadmissible p sets to zero."""
+    violations = validate_params(p)
+    if violations:
+        raise InvalidParamsError(violations)
+
+
 def demo_params() -> Params:
     """Synthetic demonstration values with the required signs.  They are
     not calibrated to any physical greenhouse."""
@@ -204,9 +213,7 @@ def build_fields(p: Params, e: Expr = E):
     p.close first when it names parameters).  Raises InvalidParamsError
     when the sign constraints fail.
     """
-    violations = validate_params(p)
-    if violations:
-        raise InvalidParamsError(violations)
+    require_admissible(p)
     x, y, z = var("x"), var("y"), var("z")
     f0 = VectorField(
         p.alpha1 + p.beta11 * x + p.beta12 * e,
@@ -291,6 +298,7 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     n + 1 samples.  A non-finite or unevaluable right-hand side stops
     the run early and flags the trajectory as diverged.
     """
+    require_admissible(p)
     f0 = build_fields(p, p.close(e_expr))[0]
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")

@@ -2,6 +2,7 @@
 third-order operators, and the structure report."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from liehouse.fields import (
     VectorField, ZERO_FIELD, along, apply_to_scalar, gradient, lie_bracket,
     proportional_to,
 )
-from liehouse.model import Params, build_fields, demo_params
+from liehouse.model import (
+    InvalidParamsError, Params, build_fields, demo_params,
+)
 from liehouse.symbolic import (
     as_expr, differentiate, epartial, is_zero, param, substitute, tanh,
     to_text, var, _diff_atom,
@@ -356,6 +359,16 @@ def test_build_fields_writes_the_closed_e_into_the_drift(case):
     expr = param("alpha1") * X + tanh(param("gamma11") * Y)
     every = {param(name): demo.value(name) for name in PARAM_NAMES}
     assert demo.close(expr) == substitute(expr, every) == X + tanh(2 * Y)
+
+
+def test_engine_checks_signs_before_closing_e():
+    """gamma11 = 0 is inadmissible, and closing x / gamma11 with it would
+    divide by zero: the sign check must come first."""
+    p = demo_params()
+    p = replace(p, gamma=((Fraction(0),) + p.gamma[0][1:], p.gamma[1]))
+    with pytest.raises(InvalidParamsError) as err:
+        ClosureEngine(p, X / param("gamma11"))
+    assert any("gamma11" in v for v in err.value.violations)
 
 
 def test_paper_2_scan_needs_no_coefficient_oracle(monkeypatch):

@@ -45,6 +45,8 @@ CASES = {
     "bracket_tanh": ["bracket", "--params", PARAMS, "--e", "tanh:1,2,1,3,1"],
     "homology_identity": ["homology"],
     "homology_rank2": ["homology", "--c", str(HERE / "c_rank2.json")],
+    "homology_rational": [
+        "homology", "--c", str(HERE / "c_rational.json")],
     "simulate_50": [
         "simulate", "--params", PARAMS, "--e", "tanh:1,2,1,3,1",
         "--init=0.3,-0.2,0.5", "--steps", "50",

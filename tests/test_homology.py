@@ -1,6 +1,7 @@
 """Chain complex of the seven-dimensional span algebra: boundary
 matrices against an independent reference, exact ranks against floating
-rank, and the pinned diagonal-case profile."""
+rank and against sympy's exact rank, and the pinned diagonal-case
+profile.  sympy is a test dependency only."""
 
 import json
 import random
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liehouse.homology import (
     DIM, Algebra7, StructureMatrix, betti_numbers, boundary_matrix,
@@ -218,6 +222,71 @@ def test_rank_exact_edge_cases():
     assert rank_exact([]) == 0
     assert rank_exact([[Fraction(0), Fraction(0)]]) == 0
     assert rank_exact([[Fraction(1, 3)]]) == 1
+
+
+# -- exact rank against sympy ----------------------------------------------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Up to 35x35 with about three entries up to 10^6 per row, then up
+    to five rows that combine two others, so the rank falls short."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 35))
+    mat = [[0] * m for _ in range(n)]
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+        st.integers(-10 ** 6, 10 ** 6), max_size=3 * n))
+    for (i, j), v in cells.items():
+        mat[i][j] = v
+    for i, j, a, b in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.integers(-3, 3), st.integers(-3, 3)), max_size=5)):
+        mat.append([a * u + b * v for u, v in zip(mat[i], mat[j])])
+    return mat
+
+
+def _low_rank(draw, n: int, m: int, r: int) -> list:
+    """An n x r times r x m product of rational matrices: rank <= r."""
+    a = [[draw(rationals) for _ in range(r)] for _ in range(n)]
+    b = [[draw(rationals) for _ in range(m)] for _ in range(r)]
+    return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(m)]
+            for i in range(n)]
+
+
+@st.composite
+def rational_matrices(draw):
+    return _low_rank(draw, *(draw(st.integers(1, 8)) for _ in range(3)))
+
+
+@st.composite
+def rational_structures(draw):
+    """c of rank at most r = 0..3."""
+    return StructureMatrix.of(_low_rank(draw, 3, 3, draw(st.integers(0, 3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sparse_int_matrices(), rational_matrices()))
+def test_rank_exact_matches_sympy(rows):
+    assert rank_exact(rows) == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=12, deadline=None)
+@given(rational_structures())
+def test_boundary_ranks_match_sympy(c):
+    alg = build_algebra(c)
+    for p in range(DIM + 1):
+        mat = boundary_matrix(alg, p)
+        assert rank_exact(mat) == sympy.Matrix(mat).rank(), p
+
+
+@settings(max_examples=12, deadline=None)
+@given(rational_structures(), rationals.filter(bool))
+def test_homology_report_is_scale_invariant(c, lam):
+    scaled = StructureMatrix.of([[lam * v for v in row] for row in c.rows])
+    assert homology_report(build_algebra(scaled)) \
+        == homology_report(build_algebra(c))
 
 
 # -- chain complex and homology -------------------------------------------

@@ -107,6 +107,18 @@ def test_build_fields_rejects_bad_params():
     assert any("alpha1" in v for v in err.value.violations)
 
 
+def test_simulate_checks_signs_before_closing_e():
+    """gamma11 = 0 is inadmissible, and closing x / gamma11 with it would
+    divide by zero: the sign check must come first."""
+    from dataclasses import replace
+    p = demo_params()
+    p = replace(p, gamma=((Fraction(0),) + p.gamma[0][1:], p.gamma[1]))
+    with pytest.raises(InvalidParamsError) as err:
+        simulate(p, X / param("gamma11"), ControlSchedule.zero(),
+                 (0.0, 0.0, 0.0), 0.01, 1)
+    assert any("gamma11" in v for v in err.value.violations)
+
+
 def test_symbolic_fields_carry_parameter_atoms():
     f0, _, _, _, b = build_fields(Params.symbolic())
     assert b.cx == param("beta12") * -1

@@ -291,7 +291,9 @@ def shared_batches(draw):
             arg = arg + draw(st.sampled_from(pool)) * draw(rationals)
         kind = draw(st.sampled_from(["tanh", "exp", "sin", "cos", "recip"]))
         if kind == "recip":
-            pool.append(as_expr(1) / (arg + draw(rationals)))
+            den = arg + draw(rationals)
+            if den.terms:  # a constant arg can cancel to a zero denominator
+                pool.append(as_expr(1) / den)
         else:
             pool.append(_FUNCS[kind](arg))
     exprs = []
