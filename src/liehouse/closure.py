@@ -40,7 +40,7 @@ from .fields import VectorField, along, gradient, lie_bracket, proportional_to
 from .model import Params, build_fields, require_admissible
 from .symbolic import (
     E, Expr, all_atoms, differentiate, epartial, is_zero,
-    substitute, to_text, _RECIP, _diff_atom,
+    substitute, to_text, _RECIP,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -90,10 +90,9 @@ class ClosureEngine:
     grad(i, j) caches the three partials of delta(i, j) on the sorted
     pair, where delta is symmetric, so each distinct Delta_ij is
     differentiated once per coordinate: delta3, lam and the constancy
-    test of check_closure all read that one gradient.
-
-    Building an engine empties the atom-derivative memo of the kernel,
-    so the memo holds the derivatives of one candidate at a time."""
+    test of check_closure all read that one gradient.  The derivatives
+    of single atoms are memoized on the atoms (see symbolic), so
+    building an engine touches no kernel state."""
 
     def __init__(self, p: Params, e: Optional[Expr] = None,
                  cross_variant: str = "bracket_1"):
@@ -110,7 +109,6 @@ class ClosureEngine:
         self._grad: dict = {}
         self._delta3: dict = {}
         self._lam: dict = {}
-        _diff_atom.cache_clear()
         if cross_variant == "paper_2":
             self._e_xy = differentiate(differentiate(e, "x"), "y")
 

@@ -103,7 +103,7 @@ class CharacteristicFamily:
         for f in (self.f1, self.f2, self.f3):
             if f is None:
                 continue
-            for atom in sorted(base_atoms(f), key=lambda a: a.key):
+            for atom in base_atoms(f):
                 if atom.kind == _VAR and atom.data != "x":
                     raise ValueError(
                         f"shapes are unary (in x); found {atom!r}")
@@ -204,7 +204,7 @@ def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
         e = e_characteristic(p, parsed)
     else:
         e = parsed
-    for atom in sorted(base_atoms(e), key=lambda a: a.key):
+    for atom in base_atoms(e):
         if not (atom.kind == _PARAM
                 or (atom.kind == _VAR and atom.data in ("x", "y"))):
             raise ValueError(

@@ -78,11 +78,6 @@ class StructureMatrix:
         """c_ij with 1-based indices."""
         return self.rows[i - 1][j - 1]
 
-    def is_diagonal_nonzero(self) -> bool:
-        return (all(self.rows[i][i] != 0 for i in range(3))
-                and all(self.rows[i][j] == 0
-                        for i in range(3) for j in range(3) if i != j))
-
 
 class Algebra7:
     """Seven-dimensional algebra given by its bracket table.

@@ -19,15 +19,19 @@ quotients collapse to equal atoms.
 
 Atoms are hash-consed through one weak table keyed by their structural
 key: equal atoms are one object, compared and hashed by identity, and
-the table keeps an atom only while some live expression holds it.  Two
-expressions are equal exactly when their canonical forms coincide.
-On the fragment without transcendental or reciprocal atoms this makes
-zero-testing a decision procedure; with them, is_zero falls back to
-seeded random evaluation.  Structural arithmetic is exact: a
-coefficient is an int when its denominator is 1 and a
-fractions.Fraction otherwise, and the two compare, hash and print alike,
-so the choice never shows in a result.  Floats appear only in
-eval_numeric, in the programs compile_exprs builds, and in sampling.
+the table keeps an atom only while some live expression holds it.  Each
+atom keeps its own partial derivatives, built on the first lookup per
+coordinate, so the memo of a derivative lives exactly as long as its
+atom and no module-level cache holds atoms alive.  Two expressions are
+equal exactly when their canonical forms coincide.  On the fragment
+without transcendental or reciprocal atoms (Laurent polynomials,
+negative powers included) this makes zero-testing a decision
+procedure; with them, is_zero falls back to seeded random evaluation.
+Structural arithmetic is exact: a coefficient is an int when its
+denominator is 1 and a fractions.Fraction otherwise, and the two
+compare, hash and print alike, so the choice never shows in a result.
+Floats appear only in eval_numeric, in the programs compile_exprs
+builds, and in sampling.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 import random
 import weakref
 from fractions import Fraction
-from functools import cache
 from typing import Mapping, Optional
 
 VARIABLE_NAMES = ("x", "y", "z")
@@ -76,15 +79,17 @@ class Atom:
     and hash by identity.  data is the flavor-specific payload: a name
     for coordinates and parameters, an (a, b) order pair for partials of
     E, a (name, Expr) pair for transcendentals, and the base Expr for
-    reciprocals.
+    reciprocals.  partials maps a coordinate name to the atom's
+    derivative, filled on the first lookup by differentiate.
     """
 
-    __slots__ = ("kind", "data", "key", "__weakref__")
+    __slots__ = ("kind", "data", "key", "partials", "__weakref__")
 
     def __init__(self, kind, data, key):
         self.kind = kind
         self.data = data
         self.key = key
+        self.partials = {}
 
     def __reduce__(self):
         # copy, deepcopy and pickle come back through the table
@@ -426,10 +431,8 @@ def _as_var_name(v) -> str:
     raise ValueError(f"cannot differentiate with respect to {v!r}")
 
 
-# Unbounded; every ClosureEngine empties it, so it holds the atom
-# derivatives of one candidate at a time.
-@cache
-def _diff_atom(atom: Atom, vname: str) -> Expr:
+def _build_partial(atom: Atom, vname: str) -> Expr:
+    """d atom / d vname; _derivative_pairs keeps it in atom.partials."""
     if atom.kind == _VAR:
         return ONE if atom.data == vname else ZERO
     if atom.kind == _PARAM:
@@ -478,7 +481,9 @@ def _derivative_pairs(e: Expr, vname: str):
     positive, so each pair is one merge with a term of a'."""
     for m, c in e.terms:
         for idx, (atom, k) in enumerate(m):
-            datom = _diff_atom(atom, vname)
+            datom = atom.partials.get(vname)
+            if datom is None:
+                datom = atom.partials[vname] = _build_partial(atom, vname)
             if not datom.terms:
                 continue
             if k == 1:
@@ -743,9 +748,11 @@ def all_atoms(e: Expr) -> set:
     return out
 
 
-def base_atoms(e: Expr) -> set:
-    """All coordinate, parameter, and E-partial atoms reachable in e."""
-    return {a for a in all_atoms(e) if a.kind not in (_FUNC, _RECIP)}
+def base_atoms(e: Expr) -> list:
+    """All coordinate, parameter, and E-partial atoms reachable in e,
+    sorted by key."""
+    return sorted((a for a in all_atoms(e) if a.kind not in (_FUNC, _RECIP)),
+                  key=lambda a: a.key)
 
 
 def has_transcendental(e: Expr) -> bool:
@@ -765,34 +772,40 @@ def _has_negative_power(e: Expr) -> bool:
     return False
 
 
+# is_zero's sampling: finite points per decision, and the tolerance on
+# |value| relative to 1 + the largest term magnitude
+_SAMPLE_POINTS = 8
+_SAMPLE_TOL = 1e-9
+
+
 def _sample_rational(rng: random.Random) -> Fraction:
     """A seeded uniform rational in [-2, 2] with denominator 10^6."""
     return Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
 
 
-def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
-            tol: float = 1e-9) -> bool:
+def is_zero(e, rng: Optional[random.Random] = None) -> bool:
     """Decide whether e is identically zero.
 
-    Without transcendental or reciprocal atoms (and with no negative
-    powers) the canonical form decides exactly.  Otherwise e is sampled
-    at seeded uniform rational points in [-2, 2]; a value exceeding
-    tol * (1 + largest term magnitude) at any point refutes zero.
+    Without transcendental or reciprocal atoms e is a Laurent polynomial,
+    negative powers included, and its canonical form decides exactly,
+    drawing nothing from rng.  Otherwise e is sampled at _SAMPLE_POINTS
+    seeded uniform rational points in [-2, 2]; a value exceeding
+    _SAMPLE_TOL * (1 + largest term magnitude) at any point refutes zero.
     Non-finite samples are redrawn a bounded number of times.
     """
     e = as_expr(e)
     if not e.terms:
         return True
-    if not has_transcendental(e) and not _has_negative_power(e):
+    if not has_transcendental(e):
         return False
     if rng is None:
         rng = random.Random(0)
-    unknowns = sorted(base_atoms(e), key=lambda a: a.key)
+    unknowns = base_atoms(e)
     good = 0
     attempts = 0
-    while good < points:
+    while good < _SAMPLE_POINTS:
         attempts += 1
-        if attempts > 25 * points:
+        if attempts > 25 * _SAMPLE_POINTS:
             raise EvaluationError(
                 "could not find enough finite sample points")
         memo = {a: float(_sample_rational(rng)) for a in unknowns}
@@ -802,7 +815,7 @@ def is_zero(e, rng: Optional[random.Random] = None, points: int = 8,
             continue
         if not (math.isfinite(value) and math.isfinite(scale)):
             continue
-        if abs(value) > tol * (1.0 + scale):
+        if abs(value) > _SAMPLE_TOL * (1.0 + scale):
             return False
         good += 1
     return True

@@ -27,7 +27,7 @@ from liehouse.model import (
 )
 from liehouse.symbolic import (
     as_expr, differentiate, epartial, is_zero, param, substitute, tanh,
-    to_text, var, _diff_atom,
+    to_text, var,
 )
 
 from conftest import rand_field, rand_params, rand_poly, rand_univariate
@@ -324,13 +324,6 @@ def test_cached_gradient_is_symmetric_and_matches_differentiate(
                 direct = f.cx * grad[0] + f.cy * grad[1] + f.cz * grad[2]
                 assert apply_to_scalar(f, phi) == along(f, gradient(phi))
                 assert along(f, grad) == direct
-
-
-def test_engine_empties_the_derivative_memo():
-    differentiate(tanh(X * Y) + X ** 3, "x")
-    assert _diff_atom.cache_info().currsize > 0
-    ClosureEngine(demo_params(), tanh(X) * Y)
-    assert _diff_atom.cache_info().currsize == 0
 
 
 PARAM_NAMES = (

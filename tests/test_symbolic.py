@@ -413,12 +413,30 @@ def test_is_zero_survives_isolated_poles():
     assert is_zero(r * g - 1, random.Random(9))
 
 
+def test_is_zero_decides_laurent_polynomials_exactly():
+    tiny = Fraction(1, 10 ** 12)
+    assert not is_zero(tiny * X)
+    assert not is_zero(tiny * X ** -1)
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert is_zero(X * X ** -1 - 1, rng)
+    assert not is_zero(X ** -2 * Y + param("alpha1") / E, rng)
+    assert rng.getstate() == state
+
+
+def test_is_zero_sampling_cannot_be_switched_off():
+    assert not is_zero(tanh(X))
+    with pytest.raises(TypeError):
+        is_zero(tanh(X), random.Random(0), 0)
+
+
 # -- structure queries and printing -------------------------------------
 
 def test_base_atoms_descend():
     e = tanh(X + param("alpha1")) + as_expr(1) / (as_expr(1) + Y * epartial(1, 0))
     names = base_atoms(e)
     assert {a.data for a in names if a.kind == 0} == {"x", "y"}
+    assert [a.key for a in names] == sorted(a.key for a in names)
 
 
 def test_to_text_spot_checks():
@@ -481,6 +499,23 @@ def test_pickle_from_another_process_hashes_like_the_original():
     assert loaded == parse(text)
     assert hash(loaded) == hash(parse(text))
     assert loaded in {parse(text)}
+
+
+def test_atom_partials_are_kept_on_the_atom():
+    t = tanh(X * Y + Fraction(5, 17))
+    assert _only_atom(t).partials == {}
+    d = differentiate(t, "x")
+    assert _only_atom(t).partials == {"x": d}
+
+
+def test_differentiated_candidates_leave_no_atoms_behind():
+    # no engine is built: dropping the expressions frees their atoms
+    gc.collect()
+    before = len(symbolic._atoms)
+    for n in range(1, 1001):
+        differentiate(tanh(X * Fraction(n, 7) + 1) ** 2, "x")
+    gc.collect()
+    assert len(symbolic._atoms) == before
 
 
 def test_atom_table_follows_live_expressions():
