@@ -11,7 +11,11 @@ of scalars behave:
 Delta_ij and Delta_ijk come from the brackets themselves.  Lambda
 uses the Leibniz rule instead: B is a constant field with
 [Y_k, B] = s_k B (Y_k = [f0, f_k]), so [Y_k, phi B] = (Y_k(phi) +
-phi s_k) B and no bracket with Delta_ij B is built.  The literal
+phi s_k) B and no bracket with Delta_ij B is built.  The scan decides
+Lambda on those Leibniz pieces, sum_c (Y_k)_c d_c(Delta_ij) +
+s_k Delta_ij: multiplied out and decided exactly when the candidate
+keeps every factor polynomial, sampled factor by factor without being
+multiplied out otherwise (symbolic.is_zero_products).  The literal
 brackets stay available as oracles (ClosureEngine.lam_with and
 delta3_bracket), and closed-form coefficient expansions are provided
 separately for cross-checking.  The closed form of Delta_ij circulates
@@ -39,8 +43,9 @@ from typing import Optional
 from .fields import VectorField, along, gradient, lie_bracket, proportional_to
 from .model import Params, build_fields, require_admissible
 from .symbolic import (
-    E, Expr, all_atoms, differentiate, epartial, is_zero,
-    substitute, to_text, _RECIP,
+    E, Expr, add_all, all_atoms, differentiate, epartial,
+    has_transcendental, is_zero, is_zero_products, substitute, to_text,
+    _RECIP,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -193,19 +198,28 @@ class ClosureEngine:
         br = lie_bracket(self.control(k), self.b.scaled(self.delta(i, j)))
         return self._multiple_of_b(br, f"[f_{k}, Delta_{i}{j} B]")
 
+    def lam_pieces(self, i: int, j: int, k: int) -> list:
+        """The Leibniz pieces of [[f0, f_k], delta(i,j) B] along B, not
+        multiplied out: the pairs ((Y_k)_c, d_c delta(i, j)) for c = x,
+        y, z and (s_k, delta(i, j)) with s_k = b_drift_factor(k), each
+        kept only when both factors are nonzero.  Every factor is read
+        from the caches y, grad, b_drift_factor and delta."""
+        _check_index(i, j, k)
+        pairs = list(zip(self.y(k).components(), self.grad(i, j)))
+        pairs.append((self.b_drift_factor(k), self.delta(i, j)))
+        return [(a, b) for a, b in pairs if a.terms and b.terms]
+
     def lam(self, i: int, j: int, k: int) -> Expr:
         """Scalar of [[f0, f_k], delta(i,j) B] along B, by the Leibniz
-        rule Y_k(phi) + phi s_k with phi = delta(i, j) and s_k =
-        b_drift_factor(k); Y_k(phi) is read off the cached grad(i, j).
-        Cached on the sorted (i, j), because delta(i, j) is symmetric
-        (see delta); k is the bracket's own direction and stays in
-        place."""
+        rule Y_k(phi) + phi s_k with phi = delta(i, j): the canonical
+        sum of the products of lam_pieces(i, j, k).  Cached on the
+        sorted (i, j), because delta(i, j) is symmetric (see delta); k
+        is the bracket's own direction and stays in place."""
         _check_index(i, j, k)
         key = (i, j, k) if i <= j else (j, i, k)
         got = self._lam.get(key)
         if got is None:
-            got = along(self.y(k), self.grad(i, j)) + \
-                self.b_drift_factor(k) * self.delta(i, j)
+            got = add_all(a * b for a, b in self.lam_pieces(i, j, k))
             self._lam[key] = got
         return got
 
@@ -341,12 +355,21 @@ def check_closure(p: Params, e: Optional[Expr] = None,
 
     Zero decisions are exact on the polynomial fragment and sampled
     from the single seed once transcendental or reciprocal atoms appear
-    (see is_zero).  The report's mode is a label of the input, not a
-    setting: "numeric" when a reciprocal atom occurs in E or in some
-    Delta_ij (the tanh quotient family, for instance), "symbolic"
-    otherwise.  A "symbolic" label does not mean every decision was
-    exact: a tanh, exp, sin or cos atom alone already makes is_zero
-    sample.
+    (see is_zero).  Lambda_ijk is decided on its Leibniz pieces
+    (ClosureEngine.lam_pieces), with the route chosen once per scan:
+    when no Delta_ij and no component of any Y_k holds a transcendental
+    or reciprocal atom, every piece is polynomial and the expanded
+    ClosureEngine.lam is decided exactly; otherwise is_zero_products
+    samples the pieces without multiplying them out.  The two routes
+    reach the same verdicts, but the sampled one draws over the pieces'
+    base atoms, so later draws from the seed may differ from those of
+    sampling the expanded sum.
+
+    The report's mode is a label of the input, not a setting: "numeric"
+    when a reciprocal atom occurs in E or in some Delta_ij (the tanh
+    quotient family, for instance), "symbolic" otherwise.  A "symbolic"
+    label does not mean every decision was exact: a tanh, exp, sin or
+    cos atom alone already makes is_zero sample.
 
     No pointwise rank of the seven generators is reported, because for
     admissible parameters it is 3 at every state and for every E: f1
@@ -369,11 +392,20 @@ def check_closure(p: Params, e: Optional[Expr] = None,
     constant_ok = [[is_zero(g[0], rng) and is_zero(g[1], rng) for g in row]
                    for row in grads]
 
+    # every Lambda factor is a Delta_ij, a component of some Y_k, or a
+    # derivative of one of them, so these decide the route for all 27
+    on_pieces = any(has_transcendental(cij) for row in c for cij in row) \
+        or any(has_transcendental(comp)
+               for k in _INDICES for comp in engine.y(k).components())
+
     delta3_zero = {}
     lambda_zero = {}
     for ijk in product(_INDICES, repeat=3):
         delta3_zero[ijk] = is_zero(engine.delta3(*ijk), rng)
-        lambda_zero[ijk] = is_zero(engine.lam(*ijk), rng)
+        if on_pieces:
+            lambda_zero[ijk] = is_zero_products(engine.lam_pieces(*ijk), rng)
+        else:
+            lambda_zero[ijk] = is_zero(engine.lam(*ijk), rng)
 
     b_central = [is_zero(engine.b_drift_factor(k), rng) for k in _INDICES]
 

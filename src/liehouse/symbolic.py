@@ -9,7 +9,9 @@ Atoms come in five flavors:
   * formal partials    E, E_x, E_xy, ...   (derivatives of the
                        evapotranspiration function, indexed by the pair
                        of x- and y-orders)
-  * transcendentals    tanh/exp/sin/cos applied to a canonical argument
+  * transcendentals    tanh/exp/sin/cos applied to a nonzero canonical
+                       argument (at zero they fold exactly: tanh(0) =
+                       sin(0) = 0, exp(0) = cos(0) = 1)
   * reciprocals        (s)^-1 of a canonical multi-term sum s
 
 The reciprocal flavor is internal bookkeeping: it is what keeps families
@@ -26,7 +28,9 @@ atom and no module-level cache holds atoms alive.  Two expressions are
 equal exactly when their canonical forms coincide.  On the fragment
 without transcendental or reciprocal atoms (Laurent polynomials,
 negative powers included) this makes zero-testing a decision
-procedure; with them, is_zero falls back to seeded random evaluation.
+procedure; with them, is_zero falls back to seeded random evaluation,
+and is_zero_products samples a sum of products on its unexpanded
+factors.
 Structural arithmetic is exact: a coefficient is an int when its
 denominator is 1 and a fractions.Fraction otherwise, and the two
 compare, hash and print alike, so the choice never shows in a result.
@@ -68,7 +72,8 @@ class InconsistentBindingError(SymbolicError):
 
 
 class EvaluationError(SymbolicError):
-    """Random sampling could not produce enough finite evaluations."""
+    """Random sampling could not produce enough finite evaluations with
+    a nonzero term."""
 
 
 class Atom:
@@ -262,6 +267,8 @@ class Expr:
 
 ZERO = Expr()
 ONE = Expr((((), 1),))
+# f(0), folded exactly when a function atom would be built at zero
+_AT_ZERO = {"tanh": ZERO, "sin": ZERO, "exp": ONE, "cos": ONE}
 
 
 def _coerce(value) -> Optional[Expr]:
@@ -392,7 +399,10 @@ def epartial(a: int, b: int) -> Expr:
 
 
 def _func_expr(name: str, arg) -> Expr:
-    return _atom_expr(_func_atom(name, as_expr(arg)))
+    arg = as_expr(arg)
+    if not arg.terms:
+        return _AT_ZERO[name]
+    return _atom_expr(_func_atom(name, arg))
 
 
 def tanh(arg) -> Expr:
@@ -730,11 +740,11 @@ def evaluate(program: Program, values) -> tuple:
     return program.run(*map(float, values))
 
 
-def all_atoms(e: Expr) -> set:
-    """Every atom reachable in e, descending into transcendental
-    arguments and reciprocal bases."""
+def all_atoms(*exprs: Expr) -> set:
+    """Every atom reachable in the expressions, descending into
+    transcendental arguments and reciprocal bases."""
     out: set = set()
-    stack = [e]
+    stack = list(exprs)
     while stack:
         for m, _ in stack.pop().terms:
             for atom, _k in m:
@@ -748,10 +758,11 @@ def all_atoms(e: Expr) -> set:
     return out
 
 
-def base_atoms(e: Expr) -> list:
-    """All coordinate, parameter, and E-partial atoms reachable in e,
-    sorted by key."""
-    return sorted((a for a in all_atoms(e) if a.kind not in (_FUNC, _RECIP)),
+def base_atoms(*exprs: Expr) -> list:
+    """All coordinate, parameter, and E-partial atoms reachable in the
+    expressions, sorted by key."""
+    return sorted((a for a in all_atoms(*exprs)
+                   if a.kind not in (_FUNC, _RECIP)),
                   key=lambda a: a.key)
 
 
@@ -783,24 +794,13 @@ def _sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
 
 
-def is_zero(e, rng: Optional[random.Random] = None) -> bool:
-    """Decide whether e is identically zero.
-
-    Without transcendental or reciprocal atoms e is a Laurent polynomial,
-    negative powers included, and its canonical form decides exactly,
-    drawing nothing from rng.  Otherwise e is sampled at _SAMPLE_POINTS
-    seeded uniform rational points in [-2, 2]; a value exceeding
-    _SAMPLE_TOL * (1 + largest term magnitude) at any point refutes zero.
-    Non-finite samples are redrawn a bounded number of times.
-    """
-    e = as_expr(e)
-    if not e.terms:
-        return True
-    if not has_transcendental(e):
-        return False
-    if rng is None:
-        rng = random.Random(0)
-    unknowns = base_atoms(e)
+def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
+    """The sampling loop of is_zero and is_zero_products.  value_at maps
+    a memo of the unknowns' float values to (value, scale).  A point
+    refutes zero when |value| > _SAMPLE_TOL * (1 + scale).  A point whose
+    evaluation fails or is not finite, or whose scale is 0.0 (every term
+    vanished or underflowed, so it cannot tell zero from nonzero), is
+    redrawn, at most 25 * _SAMPLE_POINTS draws in all."""
     good = 0
     attempts = 0
     while good < _SAMPLE_POINTS:
@@ -810,15 +810,79 @@ def is_zero(e, rng: Optional[random.Random] = None) -> bool:
                 "could not find enough finite sample points")
         memo = {a: float(_sample_rational(rng)) for a in unknowns}
         try:
-            value, scale = _eval_terms(e, memo)
+            value, scale = value_at(memo)
         except (ZeroDivisionError, OverflowError, ValueError):
             continue
-        if not (math.isfinite(value) and math.isfinite(scale)):
+        if not (math.isfinite(value) and math.isfinite(scale)) \
+                or scale == 0.0:
             continue
         if abs(value) > _SAMPLE_TOL * (1.0 + scale):
             return False
         good += 1
     return True
+
+
+def is_zero(e, rng: Optional[random.Random] = None) -> bool:
+    """Decide whether e is identically zero.
+
+    Without transcendental or reciprocal atoms e is a Laurent polynomial,
+    negative powers included, and its canonical form decides exactly,
+    drawing nothing from rng.  Otherwise e is sampled at _SAMPLE_POINTS
+    seeded uniform rational points in [-2, 2] of its base atoms; a value
+    exceeding _SAMPLE_TOL * (1 + scale), scale being the largest term
+    magnitude at the point, refutes zero.  Non-finite points are
+    redrawn, and so are points where every term is 0.0 (scale 0, as when
+    exp(x)^100000 underflows): such a point is no witness of zero.  After
+    25 * _SAMPLE_POINTS draws EvaluationError is raised.
+    is_zero_products decides a sum of products unexpanded with the same
+    points and tolerance, its scale being the largest product of the two
+    factors' largest term magnitudes.
+    """
+    e = as_expr(e)
+    if not e.terms:
+        return True
+    if not has_transcendental(e):
+        return False
+    if rng is None:
+        rng = random.Random(0)
+    return _sampled_zero(base_atoms(e), lambda memo: _eval_terms(e, memo),
+                         rng)
+
+
+def is_zero_products(pairs, rng: Optional[random.Random] = None) -> bool:
+    """Decide whether the sum of a * b over the (a, b) pairs is
+    identically zero, without multiplying the pairs out where sampling
+    decides anyway.
+
+    When no factor holds a transcendental or reciprocal atom the sum is
+    expanded and decided exactly by is_zero, drawing nothing from rng.
+    Otherwise the sum is sampled as a straight-line program (Schwartz,
+    JACM 27(4), 1980; Ibarra & Moran, JACM 30(1), 1983): at each of
+    is_zero's seeded points, drawn over the sorted union of the factors'
+    base atoms, every factor is evaluated term by term against one
+    shared memo and the products are summed.  The tolerance scale is the
+    largest product of the two factors' largest term magnitudes, so a
+    value exceeding _SAMPLE_TOL * (1 + scale) refutes zero.  Points are
+    redrawn as in is_zero, including those where scale is 0.0.
+    """
+    pairs = [(as_expr(a), as_expr(b)) for a, b in pairs]
+    if not any(has_transcendental(f) for pair in pairs for f in pair):
+        return is_zero(add_all(a * b for a, b in pairs), rng)
+    if rng is None:
+        rng = random.Random(0)
+
+    def value_at(memo):
+        value = scale = 0.0
+        for a, b in pairs:
+            va, sa = _eval_terms(a, memo)
+            vb, sb = _eval_terms(b, memo)
+            value += va * vb
+            if sa * sb > scale:
+                scale = sa * sb
+        return value, scale
+
+    return _sampled_zero(base_atoms(*(f for pair in pairs for f in pair)),
+                         value_at, rng)
 
 
 # -- printing ----------------------------------------------------------

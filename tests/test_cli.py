@@ -282,6 +282,19 @@ def test_sampling_failure_exit_two(params_file, capsys):
     assert err == "error: could not find enough finite sample points\n"
 
 
+def test_underflow_never_proves_lambda_zero(params_file, capsys):
+    # exp(x)^100000 underflows to 0.0 at most sample points; such points
+    # once counted as witnesses and made every Lambda read zero
+    code = main(["closure", "--params", params_file,
+                 "--e", "expr:exp(x)^100000"])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1
+    else:
+        assert json.loads(out)["lambda_zero"] is False
+
+
 @pytest.mark.parametrize("extra", [
     ["simulate", "--e", "expr:x", "--dt", "nan"],
     ["simulate", "--e", "expr:x", "--dt", "inf"],

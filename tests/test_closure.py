@@ -4,6 +4,7 @@ third-order operators, and the structure report."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,8 @@ from liehouse.closure import (
     delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
 )
 from liehouse.evapo import (
-    CharacteristicFamily, TanhConstants, e_characteristic, e_tanh,
-    verify_candidate,
+    CharacteristicFamily, TanhConstants, descriptor_to_expr,
+    e_characteristic, e_tanh, verify_candidate,
 )
 from liehouse.fields import (
     VectorField, ZERO_FIELD, along, apply_to_scalar, gradient, lie_bracket,
@@ -25,12 +26,14 @@ from liehouse.fields import (
 from liehouse.model import (
     InvalidParamsError, Params, build_fields, demo_params,
 )
+from liehouse import symbolic
 from liehouse.symbolic import (
-    as_expr, differentiate, epartial, is_zero, param, substitute, tanh,
-    to_text, var,
+    as_expr, differentiate, epartial, is_zero, is_zero_products,
+    param, substitute, tanh, to_text, var,
 )
 
 from conftest import rand_field, rand_params, rand_poly, rand_univariate
+from test_golden_reports import CASES, HERE, PARAMS, run_case
 
 X, Y = var("x"), var("y")
 E = epartial(0, 0)
@@ -379,3 +382,92 @@ def test_paper_2_scan_needs_no_coefficient_oracle(monkeypatch):
     for e, (report, measured) in zip(cases, want):
         assert check_closure(p, e, cross_variant="paper_2") == report
         assert verify_candidate(p, e, cross_variant="paper_2") == measured
+
+
+# -- Lambda on its Leibniz pieces ---------------------------------------
+
+_GOLDEN = Params.from_file(PARAMS)
+# (descriptor, cross variant) of every closure golden report
+_CLOSURE_GOLDENS = sorted({
+    (argv[argv.index("--e") + 1], variant)
+    for argv in CASES.values() if argv[0] == "closure"
+    for variant in CROSS_VARIANTS})
+
+
+def assert_lambda_routes_agree(p, descriptor, variant, seed=0):
+    """The verdict on lam_pieces equals is_zero of the expanded lam for
+    every (i, j, k); each route draws from its own rng, because the
+    pieces' base atoms can differ from the expanded sum's."""
+    engine = ClosureEngine(p, descriptor_to_expr(p, descriptor), variant)
+    on_pieces, expanded = random.Random(seed), random.Random(seed)
+    for ijk in product(IDX, repeat=3):
+        pieces = engine.lam_pieces(*ijk)
+        assert all(a.terms and b.terms for a, b in pieces)
+        assert is_zero_products(pieces, on_pieces) == \
+            is_zero(engine.lam(*ijk), expanded), (descriptor, variant, ijk)
+
+
+@pytest.mark.parametrize("descriptor, variant", _CLOSURE_GOLDENS)
+def test_lambda_pieces_agree_with_expansion_on_goldens(descriptor, variant):
+    assert_lambda_routes_agree(_GOLDEN, descriptor, variant)
+
+
+def test_lambda_pieces_agree_with_expansion_on_a_nest():
+    assert_lambda_routes_agree(_GOLDEN, "expr:tanh(tanh(x*y))", "bracket_1")
+
+
+_SHAPES = ("x^2", "x^3 - x", "tanh(x)", "x*tanh(x)", "exp(x)", "sin(x)")
+_PIECES = ("x", "y", "x^2*y", "tanh(x*y)", "exp(x)", "sin(y)",
+           "cos(x - y)", "1/(2 + x^2)", "tanh(1 + y)")
+
+
+@st.composite
+def descriptors(draw):
+    """char:, tanh: and expr: candidates in the CLI's own syntax."""
+    kind = draw(st.sampled_from(("char", "tanh", "expr")))
+    if kind == "tanh":
+        c3, c4 = draw(st.sampled_from(((1, 3), (-1, 2), (0, 1), (2, 0))))
+        return (f"tanh:{draw(st.integers(-2, 2))},"
+                f"{draw(st.integers(1, 3))},{c3},{c4},"
+                f"{draw(st.sampled_from(IDX))}")
+    if kind == "char":
+        i, j = draw(st.sampled_from(
+            [(i, j) for i in IDX for j in IDX if i != j]))
+        diag = ",diag" if draw(st.booleans()) else ""
+        return (f"char:{i},{j}{diag}:{draw(st.sampled_from(_SHAPES))};"
+                f"{draw(st.sampled_from(_SHAPES))}")
+    a, b, c = (draw(st.sampled_from(_PIECES)) for _ in range(3))
+    sign = draw(st.sampled_from("+-"))
+    return f"expr:{a}*{b} {sign} {draw(st.integers(0, 3))}*{c}"
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS),
+       st.integers(0, 2 ** 32 - 1))
+def test_lambda_pieces_agree_with_expansion_on_a_corpus(
+        descriptor, variant, seed):
+    assert_lambda_routes_agree(_GOLDEN, descriptor, variant, seed)
+
+
+@pytest.mark.parametrize("name", ["closure_tanh_seed5", "closure_char_diag"])
+def test_scan_decides_transcendental_lambda_unexpanded(name, monkeypatch):
+    def expanded(*args):
+        raise AssertionError("the closure scan expanded Lambda")
+
+    monkeypatch.setattr(ClosureEngine, "lam", expanded)
+    code, text = run_case(CASES[name])
+    assert code == 1
+    assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
+
+
+def test_scan_decides_polynomial_lambda_exactly(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a polynomial scan sampled")
+
+    monkeypatch.setattr(closure, "is_zero_products", sampled)
+    monkeypatch.setattr(symbolic, "_sample_rational", sampled)
+    _, text = run_case(CASES["closure_cubic"])
+    assert text.encode("utf-8") == \
+        (HERE / "closure_cubic.out").read_bytes()
+    report = check_closure(_GOLDEN, X ** 3 * Y + Y ** 2, "paper_2")
+    assert not any(report.lambda_zero.values())

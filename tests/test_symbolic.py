@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 import liehouse.symbolic as symbolic
 from liehouse.parsing import parse
 from liehouse.symbolic import (
-    InconsistentBindingError, MissingAssignmentError, all_atoms, as_expr,
-    base_atoms, compile_exprs, cos, differentiate, epartial, eval_numeric,
-    evaluate, exp, has_transcendental, is_zero, monomial_key, param, sin,
-    substitute, tanh, to_text, var,
+    EvaluationError, InconsistentBindingError, MissingAssignmentError,
+    all_atoms, as_expr, base_atoms, compile_exprs, cos, differentiate,
+    epartial, eval_numeric, evaluate, exp, has_transcendental, is_zero,
+    is_zero_products, monomial_key, param, sin, substitute, tanh, to_text,
+    var,
 )
 
 from conftest import rand_poly
@@ -421,6 +422,56 @@ def test_is_zero_decides_laurent_polynomials_exactly():
     state = rng.getstate()
     assert is_zero(X * X ** -1 - 1, rng)
     assert not is_zero(X ** -2 * Y + param("alpha1") / E, rng)
+    assert rng.getstate() == state
+
+
+def test_function_atoms_fold_at_zero():
+    a1 = param("alpha1")
+    assert tanh(X - X) == sin(0) == 0
+    assert exp(X - X) == cos(0) == 1
+    assert parse("tanh(x - x)*y + exp(0)") == 1
+    assert substitute(sin(a1 * X) + cos(a1 * Y), {a1: 0}) == 1
+    assert not has_transcendental(tanh(X - X) * Y)
+    assert is_zero(tanh(X - X) * Y)
+
+
+@pytest.mark.parametrize("decide", [
+    lambda rng: is_zero(exp(X) ** 100000 * Y, rng),
+    lambda rng: is_zero_products([(exp(X) ** 100000, Y)], rng),
+])
+def test_underflowed_points_are_no_witness_of_zero(decide):
+    # exp(x)^100000 underflows to 0.0 for x < -0.0075 and overflows for
+    # x > 0.0071: only a sliver of [-2, 2] gives an informative point
+    for seed in range(6):
+        try:
+            assert decide(random.Random(seed)) is False
+        except EvaluationError:
+            pass
+
+
+def test_is_zero_products_matches_the_expanded_sum():
+    u = tanh(X + Y)
+    big = 10 ** 6
+    cases = [
+        ([(u, Y), (-Y, u)], True),
+        ([(big * u, big * Y), (-big * Y, big * u)], True),
+        ([(u, u), (1 - u, 1 + u), (-1, 1)], True),
+        ([(u, Y)], False),
+        ([(u, Y), (-Y, u + Fraction(1, 1000))], False),
+        ([(as_expr(1) / (2 + X * X), 2 + X * X), (-1, 1)], True),
+    ]
+    for pairs, want in cases:
+        expanded = symbolic.add_all(as_expr(a) * b for a, b in pairs)
+        assert is_zero(expanded, random.Random(5)) is want
+        assert is_zero_products(pairs, random.Random(5)) is want
+
+
+def test_is_zero_products_decides_polynomial_factors_exactly():
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert is_zero_products([(X + Y, X - Y), (-X, X), (Y, Y)], rng)
+    assert not is_zero_products([(X ** -1, Y), (param("alpha1"), E)], rng)
+    assert is_zero_products([], rng)
     assert rng.getstate() == state
 
 
