@@ -13,9 +13,9 @@ uses the Leibniz rule instead: B is a constant field with
 [Y_k, B] = s_k B (Y_k = [f0, f_k]), so [Y_k, phi B] = (Y_k(phi) +
 phi s_k) B and no bracket with Delta_ij B is built.  The scan decides
 Lambda on those Leibniz pieces, sum_c (Y_k)_c d_c(Delta_ij) +
-s_k Delta_ij: multiplied out and decided exactly when the candidate
-keeps every factor polynomial, sampled factor by factor without being
-multiplied out otherwise (symbolic.is_zero_products).  The literal
+s_k Delta_ij (symbolic.is_zero_products): multiplied out and decided
+exactly when every factor is polynomial, otherwise sampled factor by
+factor and multiplied out only when the samples read zero.  The literal
 brackets stay available as oracles (ClosureEngine.lam_with and
 delta3_bracket), and closed-form coefficient expansions are provided
 separately for cross-checking.  The closed form of Delta_ij circulates
@@ -44,8 +44,7 @@ from .fields import VectorField, along, gradient, lie_bracket, proportional_to
 from .model import Params, build_fields, require_admissible
 from .symbolic import (
     E, Expr, add_all, all_atoms, differentiate, epartial,
-    has_transcendental, is_zero, is_zero_products, substitute, to_text,
-    _RECIP,
+    is_zero, is_zero_products, substitute, to_text, _RECIP,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -356,14 +355,15 @@ def check_closure(p: Params, e: Optional[Expr] = None,
     Zero decisions are exact on the polynomial fragment and sampled
     from the single seed once transcendental or reciprocal atoms appear
     (see is_zero).  Lambda_ijk is decided on its Leibniz pieces
-    (ClosureEngine.lam_pieces), with the route chosen once per scan:
-    when no Delta_ij and no component of any Y_k holds a transcendental
-    or reciprocal atom, every piece is polynomial and the expanded
-    ClosureEngine.lam is decided exactly; otherwise is_zero_products
-    samples the pieces without multiplying them out.  The two routes
-    reach the same verdicts, but the sampled one draws over the pieces'
-    base atoms, so later draws from the seed may differ from those of
-    sampling the expanded sum.
+    (ClosureEngine.lam_pieces) by is_zero_products, once per unordered
+    (i, j), because the pieces are symmetric in i and j.  Pieces free of
+    transcendental and reciprocal atoms are multiplied out and decided
+    exactly, drawing nothing from the seed.  Otherwise the pieces are
+    sampled without being multiplied out, and only a sum they read as
+    zero is expanded and decided by is_zero, so a zero verdict is
+    always is_zero's on the expanded Lambda.  The pieces' points are
+    drawn over their own base atoms, so later draws from the seed may
+    differ from those of sampling the expanded sum alone.
 
     The report's mode is a label of the input, not a setting: "numeric"
     when a reciprocal atom occurs in E or in some Delta_ij (the tanh
@@ -392,20 +392,13 @@ def check_closure(p: Params, e: Optional[Expr] = None,
     constant_ok = [[is_zero(g[0], rng) and is_zero(g[1], rng) for g in row]
                    for row in grads]
 
-    # every Lambda factor is a Delta_ij, a component of some Y_k, or a
-    # derivative of one of them, so these decide the route for all 27
-    on_pieces = any(has_transcendental(cij) for row in c for cij in row) \
-        or any(has_transcendental(comp)
-               for k in _INDICES for comp in engine.y(k).components())
-
     delta3_zero = {}
     lambda_zero = {}
-    for ijk in product(_INDICES, repeat=3):
-        delta3_zero[ijk] = is_zero(engine.delta3(*ijk), rng)
-        if on_pieces:
-            lambda_zero[ijk] = is_zero_products(engine.lam_pieces(*ijk), rng)
-        else:
-            lambda_zero[ijk] = is_zero(engine.lam(*ijk), rng)
+    for i, j, k in product(_INDICES, repeat=3):
+        delta3_zero[i, j, k] = is_zero(engine.delta3(i, j, k), rng)
+        # lam_pieces(i, j, k) is lam_pieces(j, i, k), decided already
+        lambda_zero[i, j, k] = lambda_zero[j, i, k] if j < i else \
+            is_zero_products(engine.lam_pieces(i, j, k), rng)
 
     b_central = [is_zero(engine.b_drift_factor(k), rng) for k in _INDICES]
 

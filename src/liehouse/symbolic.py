@@ -29,7 +29,7 @@ equal exactly when their canonical forms coincide.  On the fragment
 without transcendental or reciprocal atoms (Laurent polynomials,
 negative powers included) this makes zero-testing a decision
 procedure; with them, is_zero falls back to seeded random evaluation,
-and is_zero_products samples a sum of products on its unexpanded
+and is_zero_products refutes a sum of products on its unexpanded
 factors.
 Structural arithmetic is exact: a coefficient is an int when its
 denominator is 1 and a fractions.Fraction otherwise, and the two
@@ -834,7 +834,7 @@ def is_zero(e, rng: Optional[random.Random] = None) -> bool:
     redrawn, and so are points where every term is 0.0 (scale 0, as when
     exp(x)^100000 underflows): such a point is no witness of zero.  After
     25 * _SAMPLE_POINTS draws EvaluationError is raised.
-    is_zero_products decides a sum of products unexpanded with the same
+    is_zero_products refutes a sum of products unexpanded with the same
     points and tolerance, its scale being the largest product of the two
     factors' largest term magnitudes.
     """
@@ -851,38 +851,45 @@ def is_zero(e, rng: Optional[random.Random] = None) -> bool:
 
 def is_zero_products(pairs, rng: Optional[random.Random] = None) -> bool:
     """Decide whether the sum of a * b over the (a, b) pairs is
-    identically zero, without multiplying the pairs out where sampling
-    decides anyway.
+    identically zero, without multiplying the pairs out to refute it.
 
     When no factor holds a transcendental or reciprocal atom the sum is
     expanded and decided exactly by is_zero, drawing nothing from rng.
-    Otherwise the sum is sampled as a straight-line program (Schwartz,
-    JACM 27(4), 1980; Ibarra & Moran, JACM 30(1), 1983): at each of
-    is_zero's seeded points, drawn over the sorted union of the factors'
-    base atoms, every factor is evaluated term by term against one
-    shared memo and the products are summed.  The tolerance scale is the
-    largest product of the two factors' largest term magnitudes, so a
-    value exceeding _SAMPLE_TOL * (1 + scale) refutes zero.  Points are
-    redrawn as in is_zero, including those where scale is 0.0.
+    Otherwise the sum is first sampled as a straight-line program
+    (Schwartz, JACM 27(4), 1980; Ibarra & Moran, JACM 30(1), 1983): at
+    each of is_zero's seeded points, drawn over the sorted union of the
+    factors' base atoms, every factor is evaluated term by term against
+    one shared memo and the products are summed.  The tolerance scale
+    is the largest product of the two factors' largest term magnitudes,
+    so a value exceeding _SAMPLE_TOL * (1 + scale) refutes zero.  Points
+    are redrawn as in is_zero, including those where scale is 0.0.
+
+    That scale cannot see cancellation between pairs: 10^12 u * y -
+    y * (10^12 u + 1) sums to -y, far below 10^-9 of its pieces.  So a
+    sum the samples read as zero is expanded after all and the verdict
+    is is_zero's on the expansion, drawing further points from rng.
+    Only a nonzero verdict is reached without multiplying out.
     """
     pairs = [(as_expr(a), as_expr(b)) for a, b in pairs]
-    if not any(has_transcendental(f) for pair in pairs for f in pair):
-        return is_zero(add_all(a * b for a, b in pairs), rng)
-    if rng is None:
-        rng = random.Random(0)
+    if any(has_transcendental(f) for pair in pairs for f in pair):
+        if rng is None:
+            rng = random.Random(0)
 
-    def value_at(memo):
-        value = scale = 0.0
-        for a, b in pairs:
-            va, sa = _eval_terms(a, memo)
-            vb, sb = _eval_terms(b, memo)
-            value += va * vb
-            if sa * sb > scale:
-                scale = sa * sb
-        return value, scale
+        def value_at(memo):
+            value = scale = 0.0
+            for a, b in pairs:
+                va, sa = _eval_terms(a, memo)
+                vb, sb = _eval_terms(b, memo)
+                value += va * vb
+                if sa * sb > scale:
+                    scale = sa * sb
+            return value, scale
 
-    return _sampled_zero(base_atoms(*(f for pair in pairs for f in pair)),
-                         value_at, rng)
+        if not _sampled_zero(
+                base_atoms(*(f for pair in pairs for f in pair)),
+                value_at, rng):
+            return False
+    return is_zero(add_all(a * b for a, b in pairs), rng)
 
 
 # -- printing ----------------------------------------------------------

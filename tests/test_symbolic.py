@@ -459,6 +459,8 @@ def test_is_zero_products_matches_the_expanded_sum():
         ([(u, Y)], False),
         ([(u, Y), (-Y, u + Fraction(1, 1000))], False),
         ([(as_expr(1) / (2 + X * X), 2 + X * X), (-1, 1)], True),
+        # the pieces cancel to -y, far below 10^-9 of their own scale
+        ([(10 ** 12 * u, Y), (-Y, 10 ** 12 * u + 1)], False),
     ]
     for pairs, want in cases:
         expanded = symbolic.add_all(as_expr(a) * b for a, b in pairs)
