@@ -32,8 +32,7 @@ from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
 from .parsing import parse
 from .symbolic import (
-    Expr, base_atoms, compile_exprs, eval_numeric, evaluate,
-    substitute, tanh, var,
+    Expr, base_atoms, compile_exprs, evaluate, substitute, tanh, var,
     _PARAM, _VAR,
 )
 
@@ -225,6 +224,9 @@ def make_grid(nx: int, ny: int, x0: float, x1: float,
         else [x0]
     ys = [y0 + (y1 - y0) * t / (ny - 1) for t in range(ny)] if ny > 1 \
         else [y0]
+    # finite bounds can still overflow the span x1 - x0
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("grid coordinates must be finite")
     return [(gx, gy) for gx in xs for gy in ys]
 
 
@@ -286,35 +288,13 @@ class VerificationReport:
         }
 
 
-def _measure(expr: Expr, grid: Sequence, target: float,
-             tol: float) -> ConditionMeasurement:
-    ax, ay = var("x"), var("y")
-    max_abs = 0.0
-    max_dev = 0.0
-    for gx, gy in grid:
-        try:
-            val = eval_numeric(expr, {ax: gx, ay: gy})
-        except (ZeroDivisionError, OverflowError, ValueError):
-            raise PoleError(
-                f"candidate is singular at grid point (x={gx}, y={gy})")
-        if not math.isfinite(val):
-            raise PoleError(
-                f"candidate is singular at grid point (x={gx}, y={gy})")
-        max_abs = max(max_abs, abs(val))
-        max_dev = max(max_dev, abs(val - target))
-    return ConditionMeasurement(target=target, max_abs=max_abs,
-                                max_dev=max_dev, passed=max_dev <= tol)
-
-
 def _measure_all(exprs: Sequence, targets: Sequence, grid: Sequence,
                  tol: float) -> list:
     """Measure every condition over the grid through one compiled program.
 
-    The running maxima are those _measure keeps, in the same order, so
-    the results are identical.  At a singular point (an arithmetic error
-    or a non-finite value) the batch is measured again condition by
-    condition, so the PoleError names the point _measure names: the
-    first singular point of the first singular condition.
+    The grid is swept once, in order.  The first point where the program
+    raises an arithmetic error or returns a non-finite value raises a
+    PoleError naming that point.
     """
     # many conditions coincide (most are 0); track each distinct one once
     distinct = list(dict.fromkeys(zip(exprs, targets)))
@@ -322,23 +302,23 @@ def _measure_all(exprs: Sequence, targets: Sequence, grid: Sequence,
     tracked = [t for _, t in distinct]
     max_abs = [0.0] * len(distinct)
     max_dev = [0.0] * len(distinct)
-    try:
-        for gx, gy in grid:
+    for gx, gy in grid:
+        try:
             vals = evaluate(program, (gx, gy))
-            # a non-finite value makes the sum non-finite; an overflowing
-            # sum of finite values only costs the re-measurement
-            if not math.isfinite(sum(vals)):
-                break
-            max_abs = list(map(max, max_abs, map(abs, vals)))
-            max_dev = list(map(max, max_dev,
-                               map(abs, map(sub, vals, tracked))))
-        else:
-            found = {pair: ConditionMeasurement(pair[1], a, d, d <= tol)
-                     for pair, a, d in zip(distinct, max_abs, max_dev)}
-            return [replace(found[pair]) for pair in zip(exprs, targets)]
-    except (ZeroDivisionError, OverflowError, ValueError):
-        pass
-    return [_measure(expr, grid, t, tol) for expr, t in zip(exprs, targets)]
+            # a finite sum means finite values; an overflowing sum of
+            # finite values is not a pole, so test them one by one
+            singular = (not math.isfinite(sum(vals))
+                        and not all(map(math.isfinite, vals)))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            singular = True
+        if singular:
+            raise PoleError(
+                f"candidate is singular at grid point (x={gx}, y={gy})")
+        max_abs = list(map(max, max_abs, map(abs, vals)))
+        max_dev = list(map(max, max_dev, map(abs, map(sub, vals, tracked))))
+    found = {pair: ConditionMeasurement(pair[1], a, d, d <= tol)
+             for pair, a, d in zip(distinct, max_abs, max_dev)}
+    return [replace(found[pair]) for pair in zip(exprs, targets)]
 
 
 def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
@@ -352,7 +332,8 @@ def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
     measure zero where the structure wants a nonzero constant.  The
     seed is recorded for provenance; the grid sweep itself is
     deterministic.  A pole of the candidate (or its derivatives) on the
-    grid raises PoleError naming the first failing point.
+    grid raises PoleError naming the first singular grid point in grid
+    order.
     """
     if grid is None:
         grid = default_grid()

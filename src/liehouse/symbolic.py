@@ -642,14 +642,19 @@ class Program:
         self.run = run
 
 
+# the most terms a generated program adds in one statement
+_SUM_CHUNK = 500
+
+
 class _Lowering:
     """Emits one assignment per transcendental or reciprocal atom, in the
     order _eval_terms first evaluates them, one per distinct power a ** k,
-    and one sum per expression.  Every term is written as
-    c * a * p * ..., summed onto 0.0, so each value repeats _eval_terms's
-    float operations exactly.  The text holds only generated names,
-    float reprs, integer exponents and math function names: nothing a
-    user typed."""
+    and one sum per expression, split over several statements when it
+    has more than _SUM_CHUNK terms.  Every term is written as
+    c * a * p * ..., summed onto 0.0 from left to right, so each value
+    repeats _eval_terms's float operations exactly.  The text holds only
+    generated names, float reprs, integer exponents and math function
+    names: nothing a user typed."""
 
     def __init__(self, inputs):
         self.names = {atom: f"v{n}" for n, atom in enumerate(inputs)}
@@ -700,7 +705,17 @@ class _Lowering:
             factors = [self.coefficient(c)]
             factors.extend(self.power(atom, int(k)) for atom, k in m)
             parts.append(" * ".join(factors))
-        return " + ".join(parts)
+        if len(parts) <= _SUM_CHUNK + 1:
+            return " + ".join(parts)
+        # one line of thousands of chained + exhausts the compiler's
+        # recursion limit; continue the same left-to-right sum over lines
+        name = f"s{len(self.lines)}"
+        for start in range(0, len(parts), _SUM_CHUNK):
+            chunk = parts[start:start + _SUM_CHUNK]
+            if start:
+                chunk.insert(0, name)
+            self.lines.append(f"    {name} = {' + '.join(chunk)}")
+        return name
 
 
 def compile_exprs(exprs, inputs) -> Program:

@@ -128,6 +128,16 @@ def test_check_e_bad_grid(params_file, capsys):
                  "--e", "tanh:1,2,1,3,1", "--grid", "5"]) == 2
 
 
+@pytest.mark.parametrize("e", ["expr:x*y", "expr:x^2*y"])
+def test_check_e_overflowing_grid_exit_two(params_file, capsys, e):
+    # finite bounds, but x1 - x0 overflows to inf
+    assert main(["check-e", "--params", params_file, "--e", e,
+                 "--grid", "3,3,1e308,-1e308,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid coordinates must be finite\n"
+
+
 def test_bad_descriptor_position(params_file, capsys):
     assert main(["closure", "--params", params_file,
                  "--e", "expr:x*+y"]) == 2
@@ -200,6 +210,14 @@ def test_simulate_stdout_and_ctrl(params_file, tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 12
+
+
+def test_simulate_e_with_thousands_of_terms(params_file, capsys):
+    # (x+y+1)^80 has 3321 terms: more than one chained + can compile
+    assert main(["simulate", "--params", params_file,
+                 "--e", "expr:(x+y+1)^80", "--steps", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 3
 
 
 def test_simulate_bad_init(params_file, capsys):

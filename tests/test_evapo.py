@@ -11,11 +11,11 @@ from liehouse.closure import ClosureEngine, delta_ij, delta_ijk
 from liehouse.evapo import (
     CharacteristicFamily, PoleError, TanhConstants, characteristic_line,
     default_grid, descriptor_to_expr, e_characteristic, e_tanh, make_grid,
-    parse_descriptor, verify_candidate, _measure, _measure_all,
+    parse_descriptor, verify_candidate, _measure_all,
 )
 from liehouse.model import demo_params
 from liehouse.symbolic import (
-    as_expr, eval_numeric, is_zero, substitute, var,
+    as_expr, eval_numeric, is_zero, substitute, tanh, var,
 )
 
 from conftest import rand_params, rand_univariate
@@ -181,6 +181,15 @@ def test_make_grid_inclusive_bounds():
     assert len(default_grid()) == 25
 
 
+def test_make_grid_rejects_overflowing_coordinates():
+    # finite bounds whose span overflows to inf
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        make_grid(3, 1, 1e308, -1e308, 0, 1)
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        make_grid(1, 2, 0, 1, -1.7e308, 1.7e308)
+    assert make_grid(2, 1, -1e307, 1e307, 0, 1) == [(-1e307, 0), (1e307, 0)]
+
+
 def test_verify_candidate_flags_tanh_tension():
     p = demo_params()
     e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 1))
@@ -217,14 +226,32 @@ def test_verify_candidate_pole_names_the_first_singular_point():
         "candidate is singular at grid point (x=0.0, y=0.5)"
 
 
-def test_batch_pole_follows_condition_order():
-    # the second condition is singular at the first point, but the
-    # first condition's singular point is the one reported
+def test_batch_pole_follows_grid_order():
+    # the second condition is singular at the first point and the first
+    # condition only at the second: the sweep names the first point
     grid = [(0.0, 0.0), (1.0, 0.0)]
     exprs = [as_expr(1) / (X - 1), as_expr(1) / X]
     with pytest.raises(PoleError) as err:
         _measure_all(exprs, [0.0, 0.0], grid, 1e-9)
-    assert "(x=1.0, y=0.0)" in str(err.value)
+    assert "(x=0.0, y=0.0)" in str(err.value)
+
+
+@pytest.mark.parametrize("e", [X * Y, X * Y - X * tanh(Y) * 10 ** 200])
+def test_batch_non_finite_value_is_a_pole(e):
+    # x*y overflows to inf without an exception, and inf - inf is nan
+    grid = [(1.0, 1.0), (1e200, 1e200), (0.0, 0.0)]
+    with pytest.raises(PoleError) as err:
+        _measure_all([X, e], [0.0, 0.0], grid, 1e-9)
+    assert str(err.value) == \
+        "candidate is singular at grid point (x=1e+200, y=1e+200)"
+
+
+def test_batch_overflowing_sum_of_finite_values_is_no_pole():
+    # 1.5e308 twice sums to inf, but each value is finite
+    c = F(3, 2) * 10 ** 308
+    got = _measure_all([X * c, Y * c], [0.0, 0.0], [(1.0, 1.0)], 1e-9)
+    assert [m.max_abs for m in got] == [1.5e308, 1.5e308]
+    assert [m.max_dev for m in got] == [1.5e308, 1.5e308]
 
 
 def test_batch_measurement_equals_per_condition_walk(rng):
@@ -236,8 +263,13 @@ def test_batch_measurement_equals_per_condition_walk(rng):
     targets = [1.0 if i == j else 0.0 for i in (1, 2, 3) for j in (1, 2, 3)]
     targets += [0.0] * 3
     grid = make_grid(4, 5, 0.1, 0.9, -0.3, 0.7)
-    assert _measure_all(exprs, targets, grid, 1e-9) == [
-        _measure(x, grid, t, 1e-9) for x, t in zip(exprs, targets)]
+    got = _measure_all(exprs, targets, grid, 1e-9)
+    for m, expr, t in zip(got, exprs, targets):
+        # the reference: each condition walked point by point
+        vals = [eval_numeric(expr, {X: gx, Y: gy}) for gx, gy in grid]
+        max_dev = max(abs(v - t) for v in vals)
+        assert (m.target, m.max_abs, m.max_dev, m.passed) == (
+            t, max(map(abs, vals)), max_dev, max_dev <= 1e-9)
 
 
 def test_verify_candidate_random_params(rng):

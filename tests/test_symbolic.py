@@ -386,6 +386,24 @@ def test_program_unrepresentable_coefficient_fails_like_the_walk():
         evaluate(program, (1.0,))
 
 
+def test_program_compiles_long_sums_bit_for_bit():
+    # one chained + of thousands of terms exceeds the compiler's
+    # recursion limit; the program spreads the same sum over statements
+    rng = random.Random(13)
+    e = symbolic.add_all(
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000),
+                 rng.randint(1, 97)) * X ** n * Y ** (n % 7)
+        for n in range(5000))
+    assert len(e.terms) == 5000
+    exprs = [e, tanh(e)]
+    program = compile_exprs(exprs, (X, Y))
+    assert max(line.count(" + ") for line in program.source.splitlines()) \
+        <= symbolic._SUM_CHUNK
+    for point in [(0.3, -0.7), (-0.99, 0.5), (1.0, 1.0)]:
+        want = [eval_numeric(u, {X: point[0], Y: point[1]}) for u in exprs]
+        assert _bits(evaluate(program, point)) == _bits(want)
+
+
 # -- zero decisions -----------------------------------------------------
 
 def test_is_zero_exact_on_polynomials(rng):
