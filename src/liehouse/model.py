@@ -19,7 +19,6 @@ through which E enters the drift.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -30,7 +29,7 @@ from typing import IO, Mapping, Sequence, Union
 
 from .fields import VectorField
 from .symbolic import (
-    E, Expr, compile_exprs, evaluate, param, substitute, var,
+    E, Expr, compile_exprs, param, substitute, var,
 )
 
 Value = Union[Fraction, Expr]
@@ -244,7 +243,8 @@ class ControlSchedule:
                     f"each control entry is [t, u1, u2, u3] of finite "
                     f"numbers, got {e!r}")
         times = [float(e[0]) for e in self.entries]
-        # kept for value_at, which bisects it once per step
+        # bisected by value_at; simulate finds its segment bounds
+        # from it once per run
         object.__setattr__(self, "_times", times)
         if times[0] != 0.0:
             raise ValueError("control schedule must start at t = 0")
@@ -278,14 +278,38 @@ class Trajectory:
     diverged: bool = False
 
     def to_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["t", "x", "y", "z"])
-        for t, (sx, sy, sz) in zip(self.times, self.states):
-            writer.writerow([repr(t), repr(sx), repr(sy), repr(sz)])
+        # the fields are float reprs, which never need CSV quoting
+        stream.write("t,x,y,z\n")
+        stream.write("".join(f"{t!r},{sx!r},{sy!r},{sz!r}\n"
+                             for t, (sx, sy, sz)
+                             in zip(self.times, self.states)))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             self.to_csv(handle)
+
+
+def _segment_ends(times: Sequence[float], dt: float, steps: int) -> list:
+    """For each control entry, the step at which it stops applying: the
+    first n with n * dt >= the next entry's time, clamped to steps, and
+    steps for the last entry.  Steps n with end[j - 1] <= n < end[j]
+    therefore take entry j, which is what value_at(n * dt) returns: the
+    same float products are compared, and n * dt never decreases as n
+    grows."""
+    ends = []
+    lo = 0
+    for t in times[1:]:
+        q = t / dt
+        n = min(max(math.ceil(q), lo), steps) if q < steps else steps
+        # q is within an ulp of t / dt, so these walks take a step or two
+        while n > lo and (n - 1) * dt >= t:
+            n -= 1
+        while n < steps and n * dt < t:
+            n += 1
+        ends.append(n)
+        lo = n
+    ends.append(steps)
+    return ends
 
 
 def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
@@ -297,9 +321,14 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     The trajectory includes the initial state, so a run of n steps has
     n + 1 samples.  A non-finite or unevaluable right-hand side stops
     the run early and flags the trajectory as diverged.
+
+    The steps run as one loop per control segment, with the state and
+    the stages in local floats.  Segment bounds are found once, before
+    stepping, so that step n takes exactly the controls of
+    ctrl.value_at(n * dt).  Each stage adds the controls to the compiled
+    drift one by one, in the order u1, u2, u3.
     """
     require_admissible(p)
-    f0 = build_fields(p, p.close(e_expr))[0]
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
@@ -308,43 +337,61 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
         raise ValueError("init must have three components")
     if not all(math.isfinite(v) for v in init):
         raise ValueError(f"init must be finite, got {tuple(init)}")
+    f0 = build_fields(p, p.close(e_expr))[0]
+    program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
 
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]
     g2 = [float(p.gamma_entry(2, i)) for i in (1, 2, 3)]
-    program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
-
-    def rhs(state, u):
-        dx, dy, dz = evaluate(program, state)
-        for i in range(3):
-            dx += u[i] * g1[i]
-            dy += u[i] * g2[i]
-        return (dx, dy, dz)
-
+    segments = [
+        (float(u1), float(u2), float(u3), end)
+        for (_, u1, u2, u3), end in zip(
+            ctrl.entries, _segment_ends(ctrl._times, dt, steps))]
     times = [0.0]
     states = [tuple(float(v) for v in init)]
-    state = states[0]
-    diverged = False
-    for n in range(steps):
-        t = n * dt
-        u = ctrl.value_at(t)
-        try:
-            k1 = rhs(state, u)
-            s2 = tuple(state[i] + 0.5 * dt * k1[i] for i in range(3))
-            k2 = rhs(s2, u)
-            s3 = tuple(state[i] + 0.5 * dt * k2[i] for i in range(3))
-            k3 = rhs(s3, u)
-            s4 = tuple(state[i] + dt * k3[i] for i in range(3))
-            k4 = rhs(s4, u)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            diverged = True
-            break
-        nxt = tuple(
-            state[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-            for i in range(3))
-        if not all(math.isfinite(v) for v in nxt):
-            diverged = True
-            break
-        state = nxt
-        times.append((n + 1) * dt)
-        states.append(state)
+    diverged = _rk4(program.run, g1, g2, segments, dt, times, states)
     return Trajectory(times, states, diverged)
+
+
+def _rk4(run, g1, g2, segments, dt, times, states) -> bool:
+    """Step from states[-1] through the segments (u1, u2, u3, end),
+    appending each step's time and state; True when the run diverged.
+    The float operations are those of the textbook vector form, in its
+    order: x + (0.5 * dt) * k, and x + (dt / 6.0) * (k1 + 2 k2 + 2 k3 +
+    k4).  An arithmetic error in the drift, or a non-finite next state,
+    ends the run before that step's row is appended."""
+    a1, a2, a3 = g1
+    b1, b2, b3 = g2
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    append_time, append_state = times.append, states.append
+    x, y, z = states[-1]
+    start = 0
+    for u1, u2, u3, end in segments:
+        for n in range(start, end):
+            try:
+                d1, d2, k1z = run(x, y, z)
+                k1x = ((d1 + u1 * a1) + u2 * a2) + u3 * a3
+                k1y = ((d2 + u1 * b1) + u2 * b2) + u3 * b3
+                d1, d2, k2z = run(x + half * k1x, y + half * k1y,
+                                  z + half * k1z)
+                k2x = ((d1 + u1 * a1) + u2 * a2) + u3 * a3
+                k2y = ((d2 + u1 * b1) + u2 * b2) + u3 * b3
+                d1, d2, k3z = run(x + half * k2x, y + half * k2y,
+                                  z + half * k2z)
+                k3x = ((d1 + u1 * a1) + u2 * a2) + u3 * a3
+                k3y = ((d2 + u1 * b1) + u2 * b2) + u3 * b3
+                d1, d2, k4z = run(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                return True
+            k4x = ((d1 + u1 * a1) + u2 * a2) + u3 * a3
+            k4y = ((d2 + u1 * b1) + u2 * b2) + u3 * b3
+            x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+            y = y + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
+            z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                return True
+            append_time((n + 1) * dt)
+            append_state((x, y, z))
+        start = end
+    return False

@@ -632,7 +632,8 @@ class Program:
     """A batch of expressions lowered to one straight-line float function.
 
     source is the generated Python text, kept for inspection.  Build with
-    compile_exprs, run with evaluate.
+    compile_exprs, run with evaluate; a caller that already holds floats
+    may call run directly, as simulate's stepping loop does.
     """
 
     __slots__ = ("source", "run")

@@ -212,6 +212,21 @@ def test_simulate_stdout_and_ctrl(params_file, tmp_path, capsys):
     assert len(lines) == 12
 
 
+def test_simulate_out_file_and_stdout_agree(params_file, tmp_path, capsys):
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text("[[0, 1, 0, -0.5], [0.013, 0, 0.5, 0], [0.03, -1, 0, 1]]")
+    argv = ["simulate", "--params", params_file, "--e", "tanh:1,2,1,3,1",
+            "--init=0.3,-0.2,0.5", "--dt", "0.001", "--steps", "60",
+            "--ctrl", str(ctrl)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "traj.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+    assert printed.count(b"\n") == 62
+
+
 def test_simulate_e_with_thousands_of_terms(params_file, capsys):
     # (x+y+1)^80 has 3321 terms: more than one chained + can compile
     assert main(["simulate", "--params", params_file,

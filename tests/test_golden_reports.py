@@ -51,6 +51,12 @@ CASES = {
         "simulate", "--params", PARAMS, "--e", "tanh:1,2,1,3,1",
         "--init=0.3,-0.2,0.5", "--steps", "50",
         "--ctrl", str(HERE / "ctrl.json")],
+    # switch times off the step grid (0.13), at 3*dt and 7*dt whose
+    # float products exceed 0.3 and 0.7, at 5*dt == 0.5, and past the end
+    "simulate_switch": [
+        "simulate", "--params", PARAMS, "--e", "tanh:1,2,1,3,1",
+        "--init=0.3,-0.2,0.5", "--dt", "0.1", "--steps", "12",
+        "--ctrl", str(HERE / "ctrl_switch.json")],
     "validate": ["validate", "--params", PARAMS],
 }
 

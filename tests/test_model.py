@@ -1,20 +1,26 @@
 """Parameters, control schedules, field construction, and the
 fixed-step integrator against a linear-ODE oracle."""
 
+import csv
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from liehouse import model
 from liehouse.model import (
-    ControlSchedule, InvalidParamsError, Params, build_fields, demo_params,
-    simulate, validate_params,
+    ControlSchedule, InvalidParamsError, Params, Trajectory, build_fields,
+    demo_params, simulate, validate_params,
 )
-from liehouse.symbolic import as_expr, eval_numeric, param, to_text, var
+from liehouse.parsing import parse
+from liehouse.symbolic import (
+    as_expr, compile_exprs, eval_numeric, evaluate, param, to_text, var,
+)
 
 from conftest import rand_params
 
@@ -245,3 +251,177 @@ def test_csv_output_shape():
     assert len(lines) == 102
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
+
+
+def test_bad_run_arguments_fail_before_symbolic_work(monkeypatch):
+    """dt, steps and init are checked before E is closed and compiled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic work before the argument checks")
+
+    monkeypatch.setattr(model, "compile_exprs", refuse)
+    monkeypatch.setattr(model, "build_fields", refuse)
+    p, e, ctrl = demo_params(), X * Y, ControlSchedule.zero()
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        simulate(p, e, ctrl, (0.0, 0.0, 0.0), 0.0, 10)
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        simulate(p, e, ctrl, (0.0, 0.0, 0.0), 0.01, 0)
+    with pytest.raises(ValueError, match="init must have three components"):
+        simulate(p, e, ctrl, (0.0, 0.0), 0.01, 10)
+    with pytest.raises(ValueError, match="init must be finite"):
+        simulate(p, e, ctrl, (0.0, math.inf, 0.0), 0.01, 10)
+
+
+# -- the stepper against the vector-form reference ----------------------
+
+def _reference_simulate(p, e_expr, ctrl, init, dt, steps):
+    """The textbook vector-form stepper: one value_at lookup per step, a
+    right-hand-side closure over tuples, symbolic.evaluate for the drift.
+    Returns the trajectory and how it ended: None, "raised" when a stage
+    raised, or "non-finite" when a next state was not finite."""
+    f0 = build_fields(p, p.close(e_expr))[0]
+    g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]
+    g2 = [float(p.gamma_entry(2, i)) for i in (1, 2, 3)]
+    program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
+
+    def rhs(state, u):
+        dx, dy, dz = evaluate(program, state)
+        for i in range(3):
+            dx += u[i] * g1[i]
+            dy += u[i] * g2[i]
+        return (dx, dy, dz)
+
+    times = [0.0]
+    states = [tuple(float(v) for v in init)]
+    state = states[0]
+    ended = None
+    for n in range(steps):
+        u = ctrl.value_at(n * dt)
+        try:
+            k1 = rhs(state, u)
+            s2 = tuple(state[i] + 0.5 * dt * k1[i] for i in range(3))
+            k2 = rhs(s2, u)
+            s3 = tuple(state[i] + 0.5 * dt * k2[i] for i in range(3))
+            k3 = rhs(s3, u)
+            s4 = tuple(state[i] + dt * k3[i] for i in range(3))
+            k4 = rhs(s4, u)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            ended = "raised"
+            break
+        nxt = tuple(
+            state[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+            for i in range(3))
+        if not all(math.isfinite(v) for v in nxt):
+            ended = "non-finite"
+            break
+        state = nxt
+        times.append((n + 1) * dt)
+        states.append(state)
+    return Trajectory(times, states, ended is not None), ended
+
+
+def _schedule(rng, count, span, grid_dt=None):
+    """count entries from t = 0 over (0, span); on the step grid k * dt
+    when grid_dt is given, else at arbitrary floats."""
+    if grid_dt is None:
+        times = sorted(rng.sample(range(1, 10 ** 6), count - 1))
+        times = [span * k / 10 ** 6 for k in times]
+    else:
+        ks = sorted(rng.sample(range(1, int(span / grid_dt)), count - 1))
+        times = [k * grid_dt for k in ks]
+    return ControlSchedule(tuple(
+        (t, *(round(rng.uniform(-2, 2), 3) for _ in range(3)))
+        for t in [0.0] + times))
+
+
+def _stepper_cases():
+    rng = random.Random(14)
+    off_grid = ControlSchedule((
+        (0.0, 1.0, 0.0, -0.5), (0.013, 0.0, 0.5, 0.0),
+        (0.03, -1.0, 0.0, 0.25), (0.05, 0.5, 0.5, 0.5),
+        (0.07, 0.25, -0.5, 1.0), (0.0999, -1.0, 2.0, 0.0),
+        (5.0, -1.0, -1.0, -1.0)))
+    return [
+        ("single-tanh", "tanh(x*y + 1) - tanh(y)",
+         ControlSchedule.constant(1.0, -0.5, 0.25), (0.3, -0.2, 0.5),
+         0.01, 300, None),
+        ("single-zero", "x*y", ControlSchedule.zero(), (-0.4, 0.1, 0.2),
+         0.005, 250, None),
+        ("200-off-grid", "tanh(2*x - y)", _schedule(rng, 200, 3.0),
+         (0.1, 0.2, -0.1), 0.01, 400, None),
+        ("200-on-grid", "exp(-x^2)*y", _schedule(rng, 200, 2.5, 0.005),
+         (0.5, -0.5, 0.0), 0.005, 500, None),
+        ("switch-off-grid-and-past-end", "tanh(x - y)", off_grid,
+         (0.3, -0.2, 0.5), 0.001, 137, None),
+        ("switch-equal-k-dt", "sin(x)*cos(y)", ControlSchedule((
+            (0.0, 1.0, 0.0, 0.0), (0.3, 0.0, 1.0, 0.0),
+            (0.7, 0.0, 0.0, 1.0), (1.2, -1.0, -1.0, -1.0))),
+         (0.0, 0.0, 0.0), 0.1, 15, None),
+        ("overflow-x3", "x^3", ControlSchedule.zero(), (5.0, 0.0, 0.0),
+         0.5, 60, "raised"),
+        # float products overflow to inf without raising
+        ("non-finite-xyz", "x*y*z", ControlSchedule.zero(),
+         (-5.0, 5.0, 0.0), 0.5, 60, "non-finite"),
+        # tanh(x) rounds to 1.0 for x above about 19, so 1 - tanh(x) is an
+        # exact zero the path reaches: a stage raises ZeroDivisionError in
+        # the second of three segments
+        ("pole-mid-segment", "1/(1 - tanh(x))", ControlSchedule((
+            (0.0, 0.0, 0.0, 0.0), (0.05, 4.0, 0.0, 0.0),
+            (2.0, -1.0, 0.0, 0.0))), (0.3, -0.2, 0.5), 0.05, 400, "raised"),
+    ]
+
+
+_STEPPER_CASES = _stepper_cases()
+
+
+def _bits(traj):
+    return ([t.hex() for t in traj.times],
+            [tuple(v.hex() for v in row) for row in traj.states])
+
+
+@pytest.mark.parametrize(
+    "name, etext, ctrl, init, dt, steps, ended", _STEPPER_CASES,
+    ids=[case[0] for case in _STEPPER_CASES])
+def test_simulate_matches_vector_reference_bit_for_bit(
+        name, etext, ctrl, init, dt, steps, ended):
+    p = demo_params()
+    e = parse(etext)
+    want, how = _reference_simulate(p, e, ctrl, init, dt, steps)
+    assert how == ended
+    got = simulate(p, e, ctrl, init, dt, steps)
+    assert got.diverged == want.diverged
+    assert _bits(got) == _bits(want)
+    if ended == "raised":
+        assert 1 < len(got.times) < steps + 1
+
+
+def test_segment_ends_agree_with_value_at():
+    rng = random.Random(7)
+    for _ in range(200):
+        dt = rng.choice((0.1, 0.01, 0.005, 0.003, 1 / 3, 0.7))
+        steps = rng.randint(1, 300)
+        ctrl = _schedule(rng, rng.randint(1, 40), rng.uniform(0.01, 1.5)
+                         * steps * dt)
+        ends = model._segment_ends(ctrl._times, dt, steps)
+        lookup = [ctrl.value_at(n * dt) for n in range(steps)]
+        stepped = []
+        start = 0
+        for (_, *u), end in zip(ctrl.entries, ends):
+            stepped += [tuple(u)] * (end - start)
+            start = end
+        assert stepped == lookup
+
+
+def test_csv_bytes_match_csv_writer():
+    rows = [(-0.0, 5e-324, 1e-7, 1e16),
+            (1.7976931348623157e308, 0.1 + 0.2, -1.7976931348623157e308,
+             -5e-324),
+            (0.0, -1e-7, 123456789.125, 2.5e-300)]
+    traj = Trajectory([r[0] for r in rows], [r[1:] for r in rows])
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["t", "x", "y", "z"])
+    for row in rows:
+        writer.writerow([repr(v) for v in row])
+    assert buf.getvalue() == want.getvalue()
