@@ -211,9 +211,11 @@ class ClosureEngine:
     def lam(self, i: int, j: int, k: int) -> Expr:
         """Scalar of [[f0, f_k], delta(i,j) B] along B, by the Leibniz
         rule Y_k(phi) + phi s_k with phi = delta(i, j): the canonical
-        sum of the products of lam_pieces(i, j, k).  Cached on the
-        sorted (i, j), because delta(i, j) is symmetric (see delta); k
-        is the bracket's own direction and stays in place."""
+        sum of the products of lam_pieces(i, j, k).  The closure scan
+        and check-e read lam_pieces instead; lam stays as a test
+        oracle.  Cached on the sorted (i, j), because delta(i, j)
+        is symmetric (see delta); k is the bracket's own direction and
+        stays in place."""
         _check_index(i, j, k)
         key = (i, j, k) if i <= j else (j, i, k)
         got = self._lam.get(key)

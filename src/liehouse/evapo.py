@@ -25,15 +25,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from operator import sub
 from typing import Optional, Sequence
 
 from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
 from .parsing import parse
 from .symbolic import (
-    Expr, base_atoms, compile_exprs, evaluate, substitute, tanh, var,
-    _PARAM, _VAR,
+    Expr, base_atoms, substitute, tanh, var, _Lowering, _PARAM, _VAR,
 )
 
 
@@ -213,6 +211,22 @@ def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
 
 # -- measurement -------------------------------------------------------
 
+def _axis(n: int, a: float, b: float) -> list:
+    """n points from a to b inclusive, a + (b - a) * t / (n - 1).  Where
+    that overflows though the point lies between the finite ends, the
+    point is interpolated as a * (1 - s) + b * s instead."""
+    if n == 1:
+        return [a]
+    out = []
+    for t in range(n):
+        v = a + (b - a) * t / (n - 1)
+        if not math.isfinite(v):
+            s = t / (n - 1)
+            v = a * (1 - s) + b * s
+        out.append(v)
+    return out
+
+
 def make_grid(nx: int, ny: int, x0: float, x1: float,
               y0: float, y1: float) -> list:
     """nx by ny uniform grid, inclusive of both ends."""
@@ -220,11 +234,7 @@ def make_grid(nx: int, ny: int, x0: float, x1: float,
         raise ValueError("grid needs at least one point per axis")
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
         raise ValueError("grid bounds must be finite")
-    xs = [x0 + (x1 - x0) * t / (nx - 1) for t in range(nx)] if nx > 1 \
-        else [x0]
-    ys = [y0 + (y1 - y0) * t / (ny - 1) for t in range(ny)] if ny > 1 \
-        else [y0]
-    # finite bounds can still overflow the span x1 - x0
+    xs, ys = _axis(nx, x0, x1), _axis(ny, y0, y1)
     if not all(map(math.isfinite, xs + ys)):
         raise ValueError("grid coordinates must be finite")
     return [(gx, gy) for gx in xs for gy in ys]
@@ -288,37 +298,73 @@ class VerificationReport:
         }
 
 
-def _measure_all(exprs: Sequence, targets: Sequence, grid: Sequence,
-                 tol: float) -> list:
-    """Measure every condition over the grid through one compiled program.
+def _running_max(peak: str, value: str, target: float) -> list:
+    """Generated lines that set peak to max(peak, abs(value - target))."""
+    lines = []
+    if target:
+        lines.append(f"        t = {value} - {target!r}")
+        value = "t"
+    return lines + [f"        if {value} > {peak}:",
+                    f"            {peak} = {value}",
+                    f"        elif -{value} > {peak}:",
+                    f"            {peak} = -{value}"]
 
-    The grid is swept once, in order.  The first point where the program
-    raises an arithmetic error or returns a non-finite value raises a
-    PoleError naming that point.
+
+def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
+                 tol: float) -> list:
+    """Measure every condition over the grid in one generated sweep.
+
+    A condition is an expression or a tuple of (a, b) factor pairs
+    standing for the sum of the products a * b, evaluated as
+    compile_exprs evaluates it.  The grid loop is generated too: the
+    largest magnitude of each distinct value, and its largest deviation
+    from each nonzero target, is a local of the sweep.  The grid is
+    swept once, in order.  The first point where some value raises an
+    arithmetic error or is not finite raises a PoleError naming that
+    point.
     """
-    # many conditions coincide (most are 0); track each distinct one once
-    distinct = list(dict.fromkeys(zip(exprs, targets)))
-    program = compile_exprs([e for e, _ in distinct], (var("x"), var("y")))
-    tracked = [t for _, t in distinct]
-    max_abs = [0.0] * len(distinct)
-    max_dev = [0.0] * len(distinct)
-    for gx, gy in grid:
-        try:
-            vals = evaluate(program, (gx, gy))
-            # a finite sum means finite values; an overflowing sum of
-            # finite values is not a pole, so test them one by one
-            singular = (not math.isfinite(sum(vals))
-                        and not all(map(math.isfinite, vals)))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            singular = True
-        if singular:
-            raise PoleError(
-                f"candidate is singular at grid point (x={gx}, y={gy})")
-        max_abs = list(map(max, max_abs, map(abs, vals)))
-        max_dev = list(map(max, max_dev, map(abs, map(sub, vals, tracked))))
-    found = {pair: ConditionMeasurement(pair[1], a, d, d <= tol)
-             for pair, a, d in zip(distinct, max_abs, max_dev)}
-    return [replace(found[pair]) for pair in zip(exprs, targets)]
+    # many conditions coincide (most are 0); measure each distinct one once
+    distinct = list(dict.fromkeys(zip(conditions, targets)))
+    low = _Lowering((var("x"), var("y")), indent=" " * 12)
+    names = [low.value(c) for c, _ in distinct]
+    values = list(dict.fromkeys(names))
+    peaks = {}  # (value, target) -> the local of its largest |value - target|
+    updates = []
+    for name, (_, target) in zip(names, distinct):
+        for key in ((name, 0.0), (name, float(target))):
+            if key not in peaks:
+                peaks[key] = f"p{len(peaks)}"
+                updates += _running_max(peaks[key], *key)
+    source = "\n".join([
+        "def sweep(grid):",
+        f"    {' = '.join(peaks.values())} = 0.0",
+        "    for g0, g1 in grid:",
+        "        try:",
+        "            v0 = float(g0)",
+        "            v1 = float(g1)",
+        *low.lines,
+        "        except (ZeroDivisionError, OverflowError, ValueError):",
+        "            return (g0, g1), ()",
+        # a finite sum means finite values; an overflowing sum of
+        # finite values is not a pole, so those are tested one by one
+        f"        if not (isfinite({' + '.join(values)})",
+        f"                or all(map(isfinite, ({', '.join(values)}, )))):",
+        "            return (g0, g1), ()",
+        *updates,
+        f"    return None, ({''.join(f'{p}, ' for p in peaks.values())})",
+        ""])
+    point, found = low.define(source, "sweep", isfinite=math.isfinite)(grid)
+    if point is not None:
+        raise PoleError(
+            f"candidate is singular at grid point (x={point[0]}, "
+            f"y={point[1]})")
+    peak = dict(zip(peaks, found))
+    measured = {}
+    for name, pair in zip(names, distinct):
+        dev = peak[name, float(pair[1])]
+        measured[pair] = ConditionMeasurement(
+            pair[1], peak[name, 0.0], dev, dev <= tol)
+    return [replace(measured[pair]) for pair in zip(conditions, targets)]
 
 
 def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
@@ -329,11 +375,15 @@ def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
 
     Pure measurement: the report carries residuals and pass flags at
     tol, plus the Heisenberg-tension flag for diagonal entries that
-    measure zero where the structure wants a nonzero constant.  The
-    seed is recorded for provenance; the grid sweep itself is
-    deterministic.  A pole of the candidate (or its derivatives) on the
-    grid raises PoleError naming the first singular grid point in grid
-    order.
+    measure zero where the structure wants a nonzero constant.  Delta
+    and Delta3 values equal eval_numeric's, bit for bit.  Lambda_ijk is
+    measured on its Leibniz pieces (ClosureEngine.lam_pieces), never
+    multiplied out: at each point it is the left-to-right sum of its
+    factor products, which may differ from the expanded sum in the last
+    bits.  The seed is recorded for provenance; the grid sweep itself
+    is deterministic.  A pole of the candidate (or its derivatives) on
+    the grid raises PoleError naming the first singular grid point in
+    grid order.
     """
     if grid is None:
         grid = default_grid()
@@ -354,7 +404,8 @@ def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
         for k in _INDICES:
             conditions.append((delta3_m, (i, j, k), 0.0,
                                engine.delta3(i, j, k)))
-            conditions.append((lam_m, (i, j, k), 0.0, engine.lam(i, j, k)))
+            conditions.append((lam_m, (i, j, k), 0.0,
+                               tuple(engine.lam_pieces(i, j, k))))
     tables, keys, targets, exprs = zip(*conditions)
     for table, key, m in zip(tables, keys,
                              _measure_all(exprs, targets, grid, tol)):

@@ -648,20 +648,31 @@ _SUM_CHUNK = 500
 
 
 class _Lowering:
-    """Emits one assignment per transcendental or reciprocal atom, in the
-    order _eval_terms first evaluates them, one per distinct power a ** k,
-    and one sum per expression, split over several statements when it
-    has more than _SUM_CHUNK terms.  Every term is written as
-    c * a * p * ..., summed onto 0.0 from left to right, so each value
-    repeats _eval_terms's float operations exactly.  The text holds only
-    generated names, float reprs, integer exponents and math function
-    names: nothing a user typed."""
+    """Lowers expressions to straight-line Python statements on floats.
 
-    def __init__(self, inputs):
-        self.names = {atom: f"v{n}" for n, atom in enumerate(inputs)}
+    Emits one assignment per transcendental or reciprocal atom, in the
+    order _eval_terms first evaluates them, one per distinct power a ** k,
+    and one per distinct value asked for (see value).  An expression is
+    written term by term as c * a * p * ..., summed onto 0.0 from left
+    to right (over several statements when it has more than _SUM_CHUNK
+    terms), so its value repeats _eval_terms's float operations exactly.
+    A sum of products, given as (a, b) factor pairs, is not multiplied
+    out: each distinct factor is named once, as an expression, and the
+    sum is written 0.0 + fa * fb + ... from left to right.  Statements
+    carry the given indent, so a caller may place them inside its own
+    loop.  The text holds only generated names, float reprs, integer
+    exponents and math function names: nothing a user typed."""
+
+    def __init__(self, inputs, indent: str = "    "):
+        self.indent = indent
+        self.names = {_as_atom(a): f"v{n}" for n, a in enumerate(inputs)}
         self.powers: dict = {}
+        self.values: dict = {}
         self.lines: list = []
         self.unrepresentable: list = []
+
+    def emit(self, name: str, code: str) -> None:
+        self.lines.append(f"{self.indent}{name} = {code}")
 
     def atom(self, atom: Atom) -> str:
         name = self.names.get(atom)
@@ -677,7 +688,7 @@ class _Lowering:
         else:
             raise MissingAssignmentError(f"no value assigned to {atom!r}")
         name = f"a{len(self.lines)}"
-        self.lines.append(f"    {name} = {code}")
+        self.emit(name, code)
         self.names[atom] = name
         return name
 
@@ -688,7 +699,7 @@ class _Lowering:
         name = self.powers.get((base, k))
         if name is None:
             name = f"{base}_{'m' if k < 0 else ''}{abs(k)}"
-            self.lines.append(f"    {name} = {base} ** {k}")
+            self.emit(name, f"{base} ** {k}")
             self.powers[(base, k)] = name
         return name
 
@@ -715,8 +726,39 @@ class _Lowering:
             chunk = parts[start:start + _SUM_CHUNK]
             if start:
                 chunk.insert(0, name)
-            self.lines.append(f"    {name} = {' + '.join(chunk)}")
+            self.emit(name, " + ".join(chunk))
         return name
+
+    def value(self, item) -> str:
+        """Name of a local holding item's value: item is an expression
+        or a sequence of (a, b) factor pairs standing for the sum of the
+        products a * b.  Equal items, and equal factors, share a local."""
+        if isinstance(item, (tuple, list)):
+            key = tuple((as_expr(a), as_expr(b)) for a, b in item)
+        else:
+            key = as_expr(item)
+        name = self.values.get(key)
+        if name is None:
+            if isinstance(key, tuple):
+                code = " + ".join(["0.0", *(
+                    f"{self.value(a)} * {self.value(b)}" for a, b in key)])
+            else:
+                code = self.expr(key)
+            name = f"e{len(self.values)}"
+            self.emit(name, code)
+            self.values[key] = name
+        return name
+
+    def define(self, source: str, name: str, **names):
+        """Run source, which holds these lines, with the math functions,
+        the unrepresentable coefficients and names in scope; return the
+        function it defines as name."""
+        namespace = {f: getattr(math, f) for f in FUNCTION_NAMES}
+        namespace["_big"] = tuple(self.unrepresentable)
+        namespace.update(names)
+        exec(compile(source, "<liehouse program>", "exec"), namespace)
+        # popped, so the function and its globals form no reference cycle
+        return namespace.pop(name)
 
 
 def compile_exprs(exprs, inputs) -> Program:
@@ -725,26 +767,23 @@ def compile_exprs(exprs, inputs) -> Program:
     inputs lists the atoms (or single-atom expressions) whose values are
     passed to evaluate, in order; they are leaves even when they are
     transcendental or reciprocal.  Every other transcendental and
-    reciprocal atom, and every power of an atom, is evaluated once per
-    call however many terms and expressions share it, and coefficients
-    are converted to float once.  The values returned are exactly those
-    of eval_numeric, bit for bit.  A base atom that is not an input
-    raises MissingAssignmentError here, before any evaluation.
+    reciprocal atom, every power of an atom and every distinct
+    expression is evaluated once per call however many terms and
+    expressions share it, and coefficients are converted to float once.
+    The value of an expression is exactly that of eval_numeric, bit for
+    bit.  An item given as (a, b) factor pairs evaluates to the sum of
+    the products of its factors' values, added onto 0.0 from left to
+    right; it is not multiplied out, so it may differ in the last bits
+    from eval_numeric of the expanded sum.  A base atom that is not an
+    input raises MissingAssignmentError here, before any evaluation.
     """
-    inputs = [_as_atom(a) for a in inputs]
+    inputs = list(inputs)
     low = _Lowering(inputs)
-    outputs = []
-    for n, e in enumerate(exprs):
-        low.lines.append(f"    r{n} = {low.expr(as_expr(e))}")
-        outputs.append(f"r{n}, ")
+    outputs = "".join(f"{low.value(e)}, " for e in exprs)
     params = ", ".join(f"v{n}" for n in range(len(inputs)))
     source = "\n".join([f"def run({params}):", *low.lines,
-                        f"    return ({''.join(outputs)})", ""])
-    namespace = {name: getattr(math, name) for name in FUNCTION_NAMES}
-    namespace["_big"] = tuple(low.unrepresentable)
-    exec(compile(source, "<liehouse program>", "exec"), namespace)
-    # popped, so the function and its globals form no reference cycle
-    return Program(source, namespace.pop("run"))
+                        f"    return ({outputs})", ""])
+    return Program(source, low.define(source, "run"))
 
 
 def evaluate(program: Program, values) -> tuple:

@@ -128,14 +128,21 @@ def test_check_e_bad_grid(params_file, capsys):
                  "--e", "tanh:1,2,1,3,1", "--grid", "5"]) == 2
 
 
-@pytest.mark.parametrize("e", ["expr:x*y", "expr:x^2*y"])
-def test_check_e_overflowing_grid_exit_two(params_file, capsys, e):
-    # finite bounds, but x1 - x0 overflows to inf
-    assert main(["check-e", "--params", params_file, "--e", e,
+def test_check_e_grid_whose_span_overflows(params_file, capsys):
+    # finite bounds whose span x1 - x0 overflows: the points are
+    # 1e308, 0 and -1e308, and x*y is measured on them
+    assert main(["check-e", "--params", params_file, "--e", "expr:x*y",
+                 "--grid", "3,3,1e308,-1e308,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["grid_size"] == 9
+    assert captured.err == ""
+    # for x^2*y, E_y = x^2 overflows at the first point
+    assert main(["check-e", "--params", params_file, "--e", "expr:x^2*y",
                  "--grid", "3,3,1e308,-1e308,0,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: grid coordinates must be finite\n"
+    assert captured.err == ("error: candidate is singular at grid point "
+                            "(x=1e+308, y=0.0)\n")
 
 
 def test_bad_descriptor_position(params_file, capsys):

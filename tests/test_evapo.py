@@ -3,22 +3,29 @@ parsing, and grid verification."""
 
 import math
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liehouse.closure import ClosureEngine, delta_ij, delta_ijk
+from liehouse.closure import CROSS_VARIANTS, ClosureEngine, delta_ij, delta_ijk
 from liehouse.evapo import (
     CharacteristicFamily, PoleError, TanhConstants, characteristic_line,
     default_grid, descriptor_to_expr, e_characteristic, e_tanh, make_grid,
     parse_descriptor, verify_candidate, _measure_all,
 )
-from liehouse.model import demo_params
+from liehouse.model import Params, demo_params
 from liehouse.symbolic import (
-    as_expr, eval_numeric, is_zero, substitute, tanh, var,
+    as_expr, eval_numeric, is_zero, substitute, tanh, var, _as_atom,
+    _eval_terms,
 )
 
 from conftest import rand_params, rand_univariate
+from test_closure import descriptors
+from test_golden_reports import CASES, HERE, PARAMS, run_case
 
 X, Y = var("x"), var("y")
 F = Fraction
@@ -181,13 +188,22 @@ def test_make_grid_inclusive_bounds():
     assert len(default_grid()) == 25
 
 
-def test_make_grid_rejects_overflowing_coordinates():
-    # finite bounds whose span overflows to inf
-    with pytest.raises(ValueError, match="grid coordinates must be finite"):
-        make_grid(3, 1, 1e308, -1e308, 0, 1)
-    with pytest.raises(ValueError, match="grid coordinates must be finite"):
-        make_grid(1, 2, 0, 1, -1.7e308, 1.7e308)
+def test_make_grid_interpolates_where_the_span_overflows():
+    # finite bounds whose span x1 - x0 overflows to inf
+    assert make_grid(2, 1, -1e308, 1e308, 0, 1) == [(-1e308, 0), (1e308, 0)]
+    assert make_grid(3, 1, 1e308, -1e308, 0, 1) == \
+        [(1e308, 0), (0.0, 0), (-1e308, 0)]
+    assert make_grid(1, 2, 0, 1, -1.7e308, 1.7e308) == \
+        [(0, -1.7e308), (0, 1.7e308)]
+    # a finite span whose multiple overflows
+    assert make_grid(3, 1, 0, 1e308, 0, 1) == \
+        [(0.0, 0), (5e307, 0), (1e308, 0)]
     assert make_grid(2, 1, -1e307, 1e307, 0, 1) == [(-1e307, 0), (1e307, 0)]
+    # an ordinary grid keeps the bits of x0 + (x1 - x0) * t / (n - 1)
+    assert [gx for gx, _ in make_grid(7, 1, 0.1, 0.9, 0, 1)] == \
+        [0.1 + (0.9 - 0.1) * t / 6 for t in range(7)]
+    with pytest.raises(ValueError, match="grid bounds must be finite"):
+        make_grid(2, 1, 0, math.inf, 0, 1)
 
 
 def test_verify_candidate_flags_tanh_tension():
@@ -254,22 +270,153 @@ def test_batch_overflowing_sum_of_finite_values_is_no_pole():
     assert [m.max_dev for m in got] == [1.5e308, 1.5e308]
 
 
+def _walk(condition, gx, gy):
+    """A condition's value at one point, walked term by term: an
+    expression by eval_numeric, factor pairs as 0.0 + a * b + ..."""
+    point = {X: gx, Y: gy}
+    if isinstance(condition, tuple):
+        total = 0.0
+        for a, b in condition:
+            total += eval_numeric(a, point) * eval_numeric(b, point)
+        return total
+    return eval_numeric(condition, point)
+
+
 def test_batch_measurement_equals_per_condition_walk(rng):
     p = rand_params(rng)
     e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 2))
     engine = ClosureEngine(p, e)
     exprs = [engine.delta(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     exprs += [engine.lam(1, 2, k) for k in (1, 2, 3)]
+    exprs += [tuple(engine.lam_pieces(1, 2, k)) for k in (1, 2, 3)]
     targets = [1.0 if i == j else 0.0 for i in (1, 2, 3) for j in (1, 2, 3)]
-    targets += [0.0] * 3
+    targets += [0.0] * 6
     grid = make_grid(4, 5, 0.1, 0.9, -0.3, 0.7)
     got = _measure_all(exprs, targets, grid, 1e-9)
     for m, expr, t in zip(got, exprs, targets):
         # the reference: each condition walked point by point
-        vals = [eval_numeric(expr, {X: gx, Y: gy}) for gx, gy in grid]
+        vals = [_walk(expr, gx, gy) for gx, gy in grid]
         max_dev = max(abs(v - t) for v in vals)
         assert (m.target, m.max_abs, m.max_dev, m.passed) == (
             t, max(map(abs, vals)), max_dev, max_dev <= 1e-9)
+
+
+def test_sweep_is_one_generated_loop():
+    # the work outside the generated sweep does not grow with the grid
+    exprs = [X * Y + tanh(X), ((X * 2 + 1, tanh(Y)),), X]
+
+    def calls_outside_the_sweep(grid):
+        events = []
+
+        def profile(frame, event, arg):
+            if frame.f_code.co_filename != "<liehouse program>":
+                events.append(event)
+
+        sys.setprofile(profile)
+        try:
+            _measure_all(exprs, [0.0, 1.0, 0.0], grid, 1e-9)
+        finally:
+            sys.setprofile(None)
+        return len(events)
+
+    small = make_grid(2, 2, 0.1, 0.9, 0.1, 0.9)
+    calls_outside_the_sweep(small)  # fills the kernel's memos
+    assert calls_outside_the_sweep(small) == \
+        calls_outside_the_sweep(make_grid(30, 30, 0.1, 0.9, 0.1, 0.9))
+
+
+_CHECK_E_GOLDENS = ["check_e_tanh_7x9", "check_e_char_paper2"]
+
+
+@pytest.mark.parametrize("name", _CHECK_E_GOLDENS)
+def test_check_e_never_expands_lambda(name, monkeypatch):
+    def expanded(*args):
+        raise AssertionError("check-e expanded Lambda")
+
+    monkeypatch.setattr(ClosureEngine, "lam", expanded)
+    code, text = run_case(CASES[name])
+    assert code == 1
+    assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
+
+
+def test_pole_only_in_a_lambda_factor():
+    # E_y = x^2 overflows at x = 1e200 and enters only the factors
+    # (Y_k)_c of Lambda; every Delta and Delta3 there is finite
+    p = demo_params()
+    e = descriptor_to_expr(p, "expr:x^2*y")
+    engine = ClosureEngine(p, e)
+    point = (1e200, 0.5)
+    assert all(math.isfinite(_walk(engine.delta(i, j), *point))
+               for i, j in product((1, 2, 3), repeat=2))
+    assert all(math.isfinite(_walk(engine.delta3(i, j, k), *point))
+               for i, j, k in product((1, 2, 3), repeat=3))
+    with pytest.raises(OverflowError):
+        _walk(tuple(engine.lam_pieces(1, 2, 1)), *point)
+    grid = [(1.0, 1.0), point, (1e200, 1.0), (2.0, 2.0)]
+    with pytest.raises(PoleError) as err:
+        verify_candidate(p, e, grid=grid)
+    assert str(err.value) == \
+        "candidate is singular at grid point (x=1e+200, y=0.5)"
+
+
+def assert_lambda_matches_expansion(p, descriptor, variant, grid):
+    """The sweep's Lambda max_abs against a point-by-point walk of the
+    expanded Lambda, within 1e-12 (1 + scale), scale the largest term
+    magnitude of the expansion or factor product over the grid."""
+    e = descriptor_to_expr(p, descriptor)
+    engine = ClosureEngine(p, e, variant)
+    try:
+        report = verify_candidate(p, e, grid=grid, cross_variant=variant)
+    except PoleError as err:
+        # the walk of every condition, Lambda expanded, is first
+        # singular at the same point
+        for gx, gy in grid:
+            try:
+                vals = [_walk(engine.delta(i, j), gx, gy)
+                        for i, j in product((1, 2, 3), repeat=2)]
+                vals += [_walk(f(i, j, k), gx, gy)
+                         for f in (engine.delta3, engine.lam)
+                         for i, j, k in product((1, 2, 3), repeat=3)]
+            except (ZeroDivisionError, OverflowError, ValueError):
+                vals = [math.nan]
+            if not all(map(math.isfinite, vals)):
+                assert str(err.value) == ("candidate is singular at grid "
+                                          f"point (x={gx}, y={gy})")
+                return
+        raise
+    for ijk in product((1, 2, 3), repeat=3):
+        want = scale = 0.0
+        for gx, gy in grid:
+            value, terms = _eval_terms(engine.lam(*ijk),
+                                       {_as_atom(X): gx, _as_atom(Y): gy})
+            want = max(want, abs(value))
+            scale = max(scale, terms, *(
+                abs(_walk(a, gx, gy) * _walk(b, gx, gy))
+                for a, b in engine.lam_pieces(*ijk)))
+        got = report.lam[ijk].max_abs
+        assert abs(got - want) <= 1e-12 * (1 + scale), \
+            (descriptor, variant, ijk, got, want, scale)
+
+
+_GOLDEN = Params.from_file(PARAMS)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@pytest.mark.parametrize("name", _CHECK_E_GOLDENS)
+def test_lambda_pieces_measure_like_the_expansion_on_goldens(name, variant):
+    argv = CASES[name]
+    descriptor = argv[argv.index("--e") + 1]
+    grid = (make_grid(7, 9, 0.1, 0.9, 0.1, 0.9) if "--grid" in argv
+            else default_grid())
+    assert_lambda_matches_expansion(_GOLDEN, descriptor, variant, grid)
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS))
+def test_lambda_pieces_measure_like_the_expansion_on_a_corpus(
+        descriptor, variant):
+    assert_lambda_matches_expansion(
+        _GOLDEN, descriptor, variant, make_grid(3, 4, 0.1, 0.9, -0.7, 0.9))
 
 
 def test_verify_candidate_random_params(rng):

@@ -341,6 +341,24 @@ def test_program_shares_atoms_and_powers():
     assert got[0] == got[1] == eval_numeric(e, {X: 0.25, Y: -0.5})
 
 
+def test_program_sums_factor_products_unexpanded():
+    # a sum of products is evaluated on its factors, each named once,
+    # and added onto 0.0 from left to right, never multiplied out
+    u = tanh(X + Y * 2)
+    a, b = u * 3 + X, as_expr(1) / (u + 4) - Y
+    pairs = ((a, b), (b, u), (a, Y))
+    program = compile_exprs([pairs, a, list(pairs)], (X, Y))
+    assert program.source.count("tanh(") == 1
+    assert program.source.count(" * ".join(["e0", "e1"])) == 1
+    for point in [(0.25, -0.5), (-1.5, 0.75), (2.0, 2.0)]:
+        assign = dict(zip((X, Y), point))
+        want = 0.0
+        for f, g in pairs:
+            want += eval_numeric(f, assign) * eval_numeric(g, assign)
+        got = evaluate(program, point)
+        assert _bits(got) == _bits([want, eval_numeric(a, assign), want])
+
+
 def test_program_function_atom_input_is_a_leaf():
     u = tanh(X + Y)
     e = u * 3 + X
