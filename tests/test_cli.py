@@ -128,6 +128,17 @@ def test_check_e_bad_grid(params_file, capsys):
                  "--e", "tanh:1,2,1,3,1", "--grid", "5"]) == 2
 
 
+@pytest.mark.parametrize("e", ["expr:x*y", "expr:x^2*y"])
+def test_check_e_overflowing_grid_exit_two(params_file, capsys, e):
+    # the bound 1e309 overflows to inf when read; finite bounds whose
+    # span overflows are measured (next test)
+    assert main(["check-e", "--params", params_file, "--e", e,
+                 "--grid", "3,3,1e309,-1e308,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid bounds must be finite\n"
+
+
 def test_check_e_grid_whose_span_overflows(params_file, capsys):
     # finite bounds whose span x1 - x0 overflows: the points are
     # 1e308, 0 and -1e308, and x*y is measured on them
