@@ -12,8 +12,9 @@ error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, inadmissible parameters
 outside validate, non-finite --dt, --tol, --grid or --init values,
 singular candidates, zero tests without a finite sample point), 3
-internal error (an iterated bracket left the B line, which the model
-structure rules out: ClosureDefectError).
+internal error (a raw bracket printed by bracket left the B line, which
+the model structure rules out: ClosureDefectError; closure and check-e
+build no bracket and read no scalar off B, so they cannot raise it).
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         "controls": {str(i): field_text(engine.control(i))
                      for i in (1, 2, 3)},
         "b": field_text(engine.b),
-        "y": {str(k): field_text(engine.y(k)) for k in (1, 2, 3)},
-        "delta": {f"{i}{j}": to_text(engine.delta(i, j))
+        "y": {str(k): field_text(engine.y_bracket(k)) for k in (1, 2, 3)},
+        "delta": {f"{i}{j}": to_text(engine.delta_bracket(i, j))
                   for i in (1, 2, 3) for j in (1, 2, 3)},
         "cross_variant": "bracket_1",
         "seed": args.seed,

@@ -8,24 +8,29 @@ of scalars behave:
     Delta_ijk E . B = [f_k, Delta_ij E . B]     third order in E
     Lambda_ijk E . B = [[f0, f_k], Delta_ij E . B]
 
-Delta_ij and Delta_ijk come from the brackets themselves.  Lambda
-uses the Leibniz rule instead: B is a constant field with
+No full bracket is built for any of them.  Each bracket pairs a
+constant field (f_k or B) with another field, so each scalar is a
+directional derivative of E (see ClosureEngine): Delta_ij = D_i D_j E
+and Delta_ijk = D_k Delta_ij with the constant derivations D_i of the
+controls.  Lambda uses the Leibniz rule: B is a constant field with
 [Y_k, B] = s_k B (Y_k = [f0, f_k]), so [Y_k, phi B] = (Y_k(phi) +
-phi s_k) B and no bracket with Delta_ij B is built.  The scan decides
-Lambda on those Leibniz pieces, sum_c (Y_k)_c d_c(Delta_ij) +
-s_k Delta_ij (symbolic.is_zero_products): multiplied out and decided
-exactly when every factor is polynomial, otherwise sampled factor by
-factor and multiplied out only when the samples read zero.  The literal
-brackets stay available as oracles (ClosureEngine.lam_with and
-delta3_bracket), and closed-form coefficient expansions are provided
+phi s_k) B.  The scan decides Lambda on those Leibniz pieces,
+sum_c (Y_k)_c d_c(Delta_ij) + s_k Delta_ij (symbolic.is_zero_products):
+multiplied out and decided exactly when every factor is polynomial,
+otherwise sampled factor by factor and multiplied out only when the
+samples read zero.  The literal brackets, read back along B by exact
+division, stay available as oracles (ClosureEngine.y_bracket,
+delta_bracket, delta3_bracket and lam_with; the bracket subcommand
+prints them), and closed-form coefficient expansions are provided
 separately for cross-checking.  The closed form of Delta_ij circulates
 in two versions that differ in the mixed-partial coefficient: the
 bracket expansion gives (g_1i g_2j + g_2i g_1j) E_xy, while a doubled
 coefficient also appears in print.  Both are available via
 cross_variant ("bracket_1", the default, and "paper_2"), and both start
-from the bracket: paper_2 adds one more (g_1i g_2j + g_2i g_1j) E_xy to
-it.  The bracket route is canonical and the doubled version is reported
-as a deviation when the two disagree.
+from the bracket's scalar: paper_2 adds one more
+(g_1i g_2j + g_2i g_1j) E_xy to it.  The bracket's scalar is canonical
+and the doubled version is reported as a deviation when the two
+disagree.
 
 The span {X_i = f_i, Y_i = [f0, f_i], Z = B} has seven abstract
 generators; check_closure reports whether the scalars make the
@@ -40,10 +45,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .fields import VectorField, along, gradient, lie_bracket, proportional_to
+from .fields import (
+    VectorField, along, apply_to_scalar, gradient, lie_bracket,
+    proportional_to,
+)
 from .model import Params, build_fields, require_admissible
 from .symbolic import (
-    E, Expr, add_all, all_atoms, differentiate, epartial,
+    E, ZERO, Expr, add_all, all_atoms, differentiate, epartial,
     is_zero, is_zero_products, substitute, to_text, _RECIP,
 )
 
@@ -84,12 +92,28 @@ def _check_index(*indices: int) -> None:
 
 
 class ClosureEngine:
-    """Caches the model fields and repeated brackets for one (params, E)
-    pair.  e None leaves E formal in f0; otherwise e, closed over the
-    parameters (e_binding), is written where E enters f0.
+    """Caches the model fields and the closure scalars for one
+    (params, E) pair.  e None leaves E formal in f0; otherwise e, closed
+    over the parameters (e_binding), is written where E enters f0.
     cross_variant selects the mixed-partial coefficient of Delta_ij:
     the bracket's own for "bracket_1", twice that for "paper_2"; every
     operator built on Delta_ij follows that choice.
+
+    Every scalar is a directional derivative of E; no bracket is built.
+    The drift is f0 = A + M s - E B with the constant vector A, the
+    constant matrix M, the state s = (x, y, z) and the constant field
+    B.  Write D_v = v_x d/dx + v_y d/dy + v_z d/dz.  The controls f_k
+    and B are constant, so [v, g] = D_v g for a constant field v, and:
+
+        Y_k = [f0, f_k] = -D_k f0 = (D_k E) B - M f_k
+        [f_i, Y_j] = (D_i D_j E) B,      Delta_ij = D_i D_j E
+        [Y_k, B] = -D_B Y_k = -(D_B D_k E) B,   s_k = -D_B D_k E
+
+    D_k E and its gradient are cached per k (d_e); delta and
+    b_drift_factor read that one gradient.  M f_k is D_k of the E-free
+    drift build_fields(p, ZERO)[0], a constant vector.  The canonical
+    form makes each derived Expr equal to the one read off the literal
+    bracket (y_bracket, delta_bracket, lam_with), which stay as oracles.
 
     grad(i, j) caches the three partials of delta(i, j) on the sorted
     pair, where delta is symmetric, so each distinct Delta_ij is
@@ -107,26 +131,54 @@ class ClosureEngine:
         e = E if e is None else self.e_binding
         self.f0, f1, f2, f3, self.b = build_fields(p, e)
         self.controls = (f1, f2, f3)
+        self._e_grad = gradient(e)
+        self._e_free_drift = build_fields(p, ZERO)[0]
+        self._de: dict = {}
         self._y: dict = {}
+        self._y_bracket: dict = {}
         self._drift: dict = {}
         self._delta: dict = {}
         self._grad: dict = {}
         self._delta3: dict = {}
         self._lam: dict = {}
         if cross_variant == "paper_2":
-            self._e_xy = differentiate(differentiate(e, "x"), "y")
+            self._e_xy = differentiate(self._e_grad[0], "y")
 
     def control(self, i: int) -> VectorField:
         _check_index(i)
         return self.controls[i - 1]
 
+    def d_e(self, k: int) -> tuple:
+        """(D_k E, gradient(D_k E)) with D_k the derivation along f_k,
+        cached."""
+        _check_index(k)
+        got = self._de.get(k)
+        if got is None:
+            dke = along(self.control(k), self._e_grad)
+            got = (dke, gradient(dke))
+            self._de[k] = got
+        return got
+
     def y(self, k: int) -> VectorField:
-        """[f0, f_k], cached."""
+        """[f0, f_k] = (D_k E) B - M f_k, cached."""
         _check_index(k)
         got = self._y.get(k)
         if got is None:
-            got = lie_bracket(self.f0, self.control(k))
+            fk = self.control(k)
+            m_fk = VectorField(*(apply_to_scalar(fk, c)
+                                 for c in self._e_free_drift.components()))
+            got = self.b.scaled(self.d_e(k)[0]) - m_fk
             self._y[k] = got
+        return got
+
+    def y_bracket(self, k: int) -> VectorField:
+        """[f0, f_k] through the literal bracket, cached: what the
+        bracket subcommand prints, and the oracle for y."""
+        _check_index(k)
+        got = self._y_bracket.get(k)
+        if got is None:
+            got = lie_bracket(self.f0, self.control(k))
+            self._y_bracket[k] = got
         return got
 
     def _multiple_of_b(self, field: VectorField, what: str) -> Expr:
@@ -138,10 +190,18 @@ class ClosureEngine:
                 f"{to_text(field.cz)})")
         return phi
 
+    def _with_variant(self, i: int, j: int, scalar: Expr) -> Expr:
+        """scalar, plus (g_1i g_2j + g_2i g_1j) E_xy under paper_2."""
+        if self.cross_variant != "paper_2":
+            return scalar
+        fi, fj = self.control(i), self.control(j)
+        return scalar + (fi.cx * fj.cy + fi.cy * fj.cx) * self._e_xy
+
     def delta(self, i: int, j: int) -> Expr:
-        """Scalar of [f_i, [f0, f_j]] along B.  paper_2 adds
-        (g_1i g_2j + g_2i g_1j) E_xy to it, doubling the mixed-partial
-        coefficient, which is all that sets the two variants apart.
+        """Scalar of [f_i, [f0, f_j]] along B, D_i D_j E, read off the
+        cached gradient of D_j E.  paper_2 adds (g_1i g_2j + g_2i g_1j)
+        E_xy to it, doubling the mixed-partial coefficient, which is all
+        that sets the two variants apart.
 
         Cached on the sorted pair: the controls are constant, so by
         Jacobi [f_i, [f0, f_j]] - [f_j, [f0, f_i]] = [f0, [f_i, f_j]] = 0,
@@ -151,13 +211,20 @@ class ClosureEngine:
         got = self._delta.get(key)
         if got is None:
             i, j = key
-            br = lie_bracket(self.control(i), self.y(j))
-            got = self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]")
-            if self.cross_variant == "paper_2":
-                fi, fj = self.control(i), self.control(j)
-                got = got + (fi.cx * fj.cy + fi.cy * fj.cx) * self._e_xy
+            got = self._with_variant(
+                i, j, along(self.control(i), self.d_e(j)[1]))
             self._delta[key] = got
         return got
+
+    def delta_bracket(self, i: int, j: int) -> Expr:
+        """Same scalar read off the literal bracket [f_i, y_bracket(j)]
+        by exact division along B: what the bracket subcommand prints,
+        and the oracle for delta.  Raises ClosureDefectError when the
+        bracket leaves the B line."""
+        _check_index(i, j)
+        br = lie_bracket(self.control(i), self.y_bracket(j))
+        return self._with_variant(
+            i, j, self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]"))
 
     def grad(self, i: int, j: int) -> tuple:
         """gradient(delta(i, j)), the partials in x, y and z, cached on
@@ -226,21 +293,22 @@ class ClosureEngine:
 
     def lam_with(self, k: int, phi: Expr) -> Expr:
         """Scalar of [[f0, f_k], phi B] along B for any scalar phi,
-        through the literal bracket (test oracle for lam)."""
+        through the literal brackets (test oracle for lam, and with
+        phi = 1 for b_drift_factor)."""
         _check_index(k)
-        br = lie_bracket(self.y(k), self.b.scaled(phi))
+        br = lie_bracket(self.y_bracket(k), self.b.scaled(phi))
         return self._multiple_of_b(br, f"[[f0, f_{k}], phi B]")
 
     def b_drift_factor(self, k: int) -> Expr:
-        """Scalar s with [[f0, f_k], B] = s B, cached; a nonzero value
-        means B fails to be central against the Y_k directions.  This is
-        where the scan checks that [Y_k, B] stays on the B line, which
-        the Leibniz rule in lam relies on."""
+        """Scalar s_k with [[f0, f_k], B] = s_k B, -D_B D_k E read off
+        the cached gradient of D_k E; a nonzero value means B fails to
+        be central against the Y_k directions.  [Y_k, B] stays on the B
+        line by construction (see ClosureEngine), which the Leibniz rule
+        in lam relies on."""
         _check_index(k)
         got = self._drift.get(k)
         if got is None:
-            got = self._multiple_of_b(
-                lie_bracket(self.y(k), self.b), f"[[f0, f_{k}], B]")
+            got = -along(self.b, self.d_e(k)[1])
             self._drift[k] = got
         return got
 
@@ -252,7 +320,7 @@ def _bind_e(expr: Expr, e_binding: Optional[Expr]) -> Expr:
 
 
 def delta_ij(p: Params, e: Optional[Expr], i: int, j: int) -> Expr:
-    """Second-order closure scalar by the bracket route."""
+    """Second-order closure scalar D_i D_j E (ClosureEngine.delta)."""
     return ClosureEngine(p, e).delta(i, j)
 
 
@@ -280,7 +348,7 @@ def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
 
 
 def delta_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
-    """Third-order closure scalar by the bracket route."""
+    """Third-order closure scalar D_k D_i D_j E (ClosureEngine.delta3)."""
     return ClosureEngine(p, e).delta3(i, j, k)
 
 

@@ -458,7 +458,7 @@ def test_closure_defect_is_internal_error_exit_three(params_file, capsys,
                                                      monkeypatch):
     monkeypatch.setattr("liehouse.closure.proportional_to",
                         lambda f, ref: None)
-    assert main(["closure", "--params", params_file, "--e", "expr:x*y"]) == 3
+    assert main(["bracket", "--params", params_file, "--e", "expr:x*y"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal: ")

@@ -1,6 +1,7 @@
 """Closure scan: bracket oracle vs literal formulas, dual routes for
 third-order operators, and the structure report."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liehouse import closure
+from liehouse import closure, fields
 from liehouse.closure import (
     CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij, delta_ij_formula,
     delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
@@ -33,7 +34,7 @@ from liehouse.symbolic import (
 )
 
 from conftest import rand_field, rand_params, rand_poly, rand_univariate
-from test_golden_reports import CASES, HERE, PARAMS, run_case
+from test_golden_reports import CASES, EXIT_CODES, HERE, PARAMS, run_case
 
 X, Y = var("x"), var("y")
 E = epartial(0, 0)
@@ -467,3 +468,73 @@ def test_scan_decides_polynomial_lambda_exactly(monkeypatch):
         (HERE / "closure_cubic.out").read_bytes()
     report = check_closure(_GOLDEN, X ** 3 * Y + Y ** 2, "paper_2")
     assert not any(report.lambda_zero.values())
+
+
+# -- scalars as directional derivatives of E ----------------------------
+
+# every E of a closure, check-e or bracket golden report ("" is formal E)
+_GOLDEN_INPUTS = sorted({
+    argv[argv.index("--e") + 1] if "--e" in argv else ""
+    for argv in CASES.values() if argv[0] in ("closure", "check-e",
+                                              "bracket")})
+
+
+def assert_scalars_match_brackets(p, descriptor, variant):
+    """Y_k, Delta_ij and s_k of the engine equal the literal brackets
+    read back along B by proportional_to; paper_2 adds its E_xy term."""
+    e = descriptor_to_expr(p, descriptor) if descriptor else None
+    engine = ClosureEngine(p, e, variant)
+    b = engine.b
+    e_xy = differentiate(
+        differentiate(E if e is None else p.close(e), "x"), "y")
+    for k in IDX:
+        y_k = lie_bracket(engine.f0, engine.control(k))
+        assert engine.y(k) == y_k == engine.y_bracket(k)
+        s_k = proportional_to(lie_bracket(y_k, b), b)
+        assert s_k is not None
+        assert engine.b_drift_factor(k) == s_k == \
+            engine.lam_with(k, as_expr(1))
+    for i, j in product(IDX, repeat=2):
+        fi, fj = engine.control(i), engine.control(j)
+        dij = proportional_to(
+            lie_bracket(fi, lie_bracket(engine.f0, fj)), b)
+        assert dij is not None
+        if variant == "paper_2":
+            dij = dij + (fi.cx * fj.cy + fi.cy * fj.cx) * e_xy
+        assert engine.delta(i, j) == dij == engine.delta_bracket(i, j), \
+            (descriptor, variant, i, j)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@pytest.mark.parametrize("descriptor", _GOLDEN_INPUTS)
+def test_scalars_match_brackets_on_goldens(descriptor, variant):
+    assert_scalars_match_brackets(_GOLDEN, descriptor, variant)
+
+
+@pytest.mark.parametrize("descriptor", ["", "tanh:1,2,1,3,1",
+                                        "char:1,2,diag:tanh(x);x^2"])
+def test_scalars_match_brackets_symbolic_params(descriptor):
+    for variant in CROSS_VARIANTS:
+        assert_scalars_match_brackets(_SYMBOLIC, descriptor, variant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS))
+def test_scalars_match_brackets_on_a_corpus(descriptor, variant):
+    assert_scalars_match_brackets(_GOLDEN, descriptor, variant)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in CASES.items() if argv[0] in ("closure",
+                                                          "check-e")))
+def test_scan_and_check_e_build_no_bracket(name, monkeypatch):
+    def literal(*args):
+        raise AssertionError("a bracket was built or divided by B")
+
+    for target in (closure, fields):
+        for fn in ("lie_bracket", "proportional_to"):
+            monkeypatch.setattr(target, fn, literal)
+    monkeypatch.setattr(fields, "exact_div", literal)
+    code, text = run_case(CASES[name])
+    assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[name]

@@ -61,8 +61,12 @@ def exprs(draw):
             arg = arg + draw(st.sampled_from(pool)) * draw(
                 rationals.filter(bool))
         kind = draw(st.sampled_from(["tanh", "exp", "sin", "cos", "recip"]))
+        # tanh(0) and sin(0) fold to 0, which a later ** -1 would divide
+        # by while the example is still being drawn
         if kind != "recip":
-            pool.append(_FUNCS[kind](arg))
+            entry = _FUNCS[kind](arg)
+            if entry.terms:
+                pool.append(entry)
         elif arg.terms:
             pool.append(as_expr(1) / arg)
     e = as_expr(0)
