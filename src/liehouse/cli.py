@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .closure import (
     CROSS_VARIANTS, ClosureDefectError, ClosureEngine, check_closure,
@@ -37,7 +36,7 @@ from .model import (
 from .symbolic import SymbolicError, to_text
 
 
-def _emit_json(report: dict, out: Optional[str]) -> None:
+def _emit_json(report: dict, out: str | None) -> None:
     # a NaN or an infinity is an error (exit 2), never a report value
     text = json.dumps(report, sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
@@ -54,7 +53,7 @@ def _admissible_params(args: argparse.Namespace) -> Params:
     return p
 
 
-def _parse_grid(text: Optional[str]):
+def _parse_grid(text: str | None):
     if text is None:
         return default_grid()
     parts = [s.strip() for s in text.split(",")]
@@ -75,7 +74,7 @@ def _parse_init(text: str):
     return tuple(float(s) for s in parts)
 
 
-def _load_ctrl(path: Optional[str]) -> ControlSchedule:
+def _load_ctrl(path: str | None) -> ControlSchedule:
     if path is None:
         return ControlSchedule.zero()
     with open(path, "r", encoding="utf-8") as handle:

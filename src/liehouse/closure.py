@@ -41,9 +41,7 @@ it is the Heisenberg-like diagonal case.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from .fields import (
     VectorField, along, apply_to_scalar, gradient, lie_bracket,
@@ -122,7 +120,7 @@ class ClosureEngine:
     of single atoms are memoized on the atoms (see symbolic), so
     building an engine touches no kernel state."""
 
-    def __init__(self, p: Params, e: Optional[Expr] = None,
+    def __init__(self, p: Params, e: Expr | None = None,
                  cross_variant: str = "bracket_1"):
         _check_variant(cross_variant)
         self.cross_variant = cross_variant
@@ -313,18 +311,18 @@ class ClosureEngine:
         return got
 
 
-def _bind_e(expr: Expr, e_binding: Optional[Expr]) -> Expr:
+def _bind_e(expr: Expr, e_binding: Expr | None) -> Expr:
     if e_binding is None:
         return expr
     return substitute(expr, {E: e_binding})
 
 
-def delta_ij(p: Params, e: Optional[Expr], i: int, j: int) -> Expr:
+def delta_ij(p: Params, e: Expr | None, i: int, j: int) -> Expr:
     """Second-order closure scalar D_i D_j E (ClosureEngine.delta)."""
     return ClosureEngine(p, e).delta(i, j)
 
 
-def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
+def delta_ij_formula(p: Params, e: Expr | None, i: int, j: int,
                      cross_variant: str = "bracket_1") -> Expr:
     """Coefficient expansion of delta_ij over the second partials of E,
     the independent oracle for ClosureEngine.delta under either variant.
@@ -347,12 +345,12 @@ def delta_ij_formula(p: Params, e: Optional[Expr], i: int, j: int,
     return p.close(_bind_e(out, e))
 
 
-def delta_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
+def delta_ijk(p: Params, e: Expr | None, i: int, j: int, k: int) -> Expr:
     """Third-order closure scalar D_k D_i D_j E (ClosureEngine.delta3)."""
     return ClosureEngine(p, e).delta3(i, j, k)
 
 
-def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
+def delta_ijk_formula(p: Params, e: Expr | None, i: int, j: int,
                       k: int) -> Expr:
     """Coefficient expansion of delta_ijk: pure third partials carry the
     products g_1i g_1j g_1k and g_2i g_2j g_2k, and the mixed partials
@@ -376,7 +374,7 @@ def delta_ijk_formula(p: Params, e: Optional[Expr], i: int, j: int,
     return p.close(_bind_e(out, e))
 
 
-def lambda_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
+def lambda_ijk(p: Params, e: Expr | None, i: int, j: int, k: int) -> Expr:
     """Mixed closure scalar [[f0, f_k], Delta_ij E . B] = Lambda B, by
     the Leibniz rule of ClosureEngine.lam.  No transcription of the long
     coefficient expansion is kept; ClosureEngine.lam_with builds the
@@ -384,19 +382,28 @@ def lambda_ijk(p: Params, e: Optional[Expr], i: int, j: int, k: int) -> Expr:
     return ClosureEngine(p, e).lam(i, j, k)
 
 
-@dataclass
 class ClosureReport:
-    """Outcome of the full closure scan for one (params, E) pair."""
+    """Outcome of the full closure scan for one (params, E) pair.
+    Reports compare equal when every field does."""
 
-    c: list                    # 3x3 delta scalars (Expr)
-    constant_ok: list          # 3x3 bools: delta_ij has zero x/y derivative
-    delta3_zero: dict          # (i,j,k) -> bool
-    lambda_zero: dict          # (i,j,k) -> bool
-    b_central: list            # per k: [[f0,f_k],B] vanishes
-    heisenberg: bool
-    mode: str
-    cross_variant: str
-    seed: int
+    def __init__(self, c: list, constant_ok: list, delta3_zero: dict,
+                 lambda_zero: dict, b_central: list, heisenberg: bool,
+                 mode: str, cross_variant: str, seed: int):
+        self.c = c                      # 3x3 delta scalars (Expr)
+        # 3x3 bools: delta_ij has zero x/y derivative
+        self.constant_ok = constant_ok
+        self.delta3_zero = delta3_zero  # (i,j,k) -> bool
+        self.lambda_zero = lambda_zero  # (i,j,k) -> bool
+        self.b_central = b_central      # per k: [[f0,f_k],B] vanishes
+        self.heisenberg = heisenberg
+        self.mode = mode
+        self.cross_variant = cross_variant
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         c_text = [[to_text(self.c[i][j]) for j in range(3)] for i in range(3)]
@@ -417,7 +424,7 @@ class ClosureReport:
         }
 
 
-def check_closure(p: Params, e: Optional[Expr] = None,
+def check_closure(p: Params, e: Expr | None = None,
                   cross_variant: str = "bracket_1",
                   seed: int = 0) -> ClosureReport:
     """Scan all closure conditions and build the structure scalars.

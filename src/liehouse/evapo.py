@@ -22,10 +22,9 @@ tension instead of repairing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
 
 from .closure import ClosureEngine, _INDICES, _check_index
 from .model import Params
@@ -39,15 +38,16 @@ class PoleError(ValueError):
     """The candidate E (or a derivative) is singular on the grid."""
 
 
-@dataclass(frozen=True)
 class TanhConstants:
     """Constants of the tanh quotient family, attached to channel i."""
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    i: int
+    def __init__(self, c1: Fraction, c2: Fraction, c3: Fraction,
+                 c4: Fraction, i: int):
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
+        self.c4 = c4
+        self.i = i
 
     @classmethod
     def of(cls, c1, c2, c3, c4, i: int) -> "TanhConstants":
@@ -68,7 +68,6 @@ def e_tanh(p: Params, c: TanhConstants) -> Expr:
     return 1 / (c.c4 + c.c3 * tanh(arg))
 
 
-@dataclass(frozen=True)
 class CharacteristicFamily:
     """Shapes composed with characteristic lines.
 
@@ -80,30 +79,31 @@ class CharacteristicFamily:
     for the two-shape family only.
     """
 
-    f1: Expr
-    f2: Expr
-    i: int
-    j: int
-    f3: Optional[Expr] = None
-    k: Optional[int] = None
-    diagonal_term: bool = False
-
-    def __post_init__(self):
-        _check_index(self.i, self.j)
-        if (self.f3 is None) != (self.k is None):
+    def __init__(self, f1: Expr, f2: Expr, i: int, j: int,
+                 f3: Expr | None = None, k: int | None = None,
+                 diagonal_term: bool = False):
+        _check_index(i, j)
+        if (f3 is None) != (k is None):
             raise ValueError("f3 and k must be given together")
-        if self.k is not None:
-            _check_index(self.k)
-            if self.diagonal_term:
+        if k is not None:
+            _check_index(k)
+            if diagonal_term:
                 raise ValueError(
                     "diagonal_term belongs to the two-shape family")
-        for f in (self.f1, self.f2, self.f3):
+        for f in (f1, f2, f3):
             if f is None:
                 continue
             for atom in base_atoms(f):
                 if atom.kind == _VAR and atom.data != "x":
                     raise ValueError(
                         f"shapes are unary (in x); found {atom!r}")
+        self.f1 = f1
+        self.f2 = f2
+        self.i = i
+        self.j = j
+        self.f3 = f3
+        self.k = k
+        self.diagonal_term = diagonal_term
 
 
 def characteristic_line(p: Params, idx: int) -> Expr:
@@ -246,15 +246,22 @@ def default_grid() -> list:
     return make_grid(5, 5, 0.1, 0.9, 0.1, 0.9)
 
 
-@dataclass
 class ConditionMeasurement:
     """One measured condition: the largest raw magnitude and the largest
-    deviation from the target over the grid."""
+    deviation from the target over the grid.  Measurements compare
+    equal when every field does."""
 
-    target: float
-    max_abs: float
-    max_dev: float
-    passed: bool
+    def __init__(self, target: float, max_abs: float, max_dev: float,
+                 passed: bool):
+        self.target = target
+        self.max_abs = max_abs
+        self.max_dev = max_dev
+        self.passed = passed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {
@@ -265,20 +272,30 @@ class ConditionMeasurement:
         }
 
 
-@dataclass
 class VerificationReport:
-    """Grid measurement of one candidate against the closure system."""
+    """Grid measurement of one candidate against the closure system.
+    Reports compare equal when every field does."""
 
-    delta: dict       # (i, j) -> ConditionMeasurement, target delta_ij
-    delta3: dict      # (i, j, k) -> ConditionMeasurement, target 0
-    lam: dict         # (i, j, k) -> ConditionMeasurement, target 0
-    tol: float
-    grid_size: int
-    cross_variant: str
-    seed: int
-    passed: bool
-    tension_indices: list   # diagonal i with measured |Delta_ii| <= tol
-    heisenberg_tension: bool
+    def __init__(self, delta: dict, delta3: dict, lam: dict, tol: float,
+                 grid_size: int, cross_variant: str, seed: int,
+                 passed: bool, tension_indices: list,
+                 heisenberg_tension: bool):
+        self.delta = delta    # (i, j) -> ConditionMeasurement, target delta_ij
+        self.delta3 = delta3  # (i, j, k) -> ConditionMeasurement, target 0
+        self.lam = lam        # (i, j, k) -> ConditionMeasurement, target 0
+        self.tol = tol
+        self.grid_size = grid_size
+        self.cross_variant = cross_variant
+        self.seed = seed
+        self.passed = passed
+        # diagonal i with measured |Delta_ii| <= tol
+        self.tension_indices = tension_indices
+        self.heisenberg_tension = heisenberg_tension
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         def keyed(d):
@@ -364,10 +381,10 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
         dev = peak[name, float(pair[1])]
         measured[pair] = ConditionMeasurement(
             pair[1], peak[name, 0.0], dev, dev <= tol)
-    return [replace(measured[pair]) for pair in zip(conditions, targets)]
+    return [measured[pair] for pair in zip(conditions, targets)]
 
 
-def verify_candidate(p: Params, e: Expr, grid: Optional[Sequence] = None,
+def verify_candidate(p: Params, e: Expr, grid: Sequence | None = None,
                      tol: float = 1e-9, cross_variant: str = "bracket_1",
                      seed: int = 0) -> VerificationReport:
     """Measure Delta_ij against its Kronecker target and Delta_ijk,

@@ -12,9 +12,6 @@ does not reproduce f exactly means "not proportional", never an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .symbolic import (
     Expr, ZERO, add_all, as_expr, differentiate, to_text, _has_negative_power,
 )
@@ -22,11 +19,21 @@ from .symbolic import (
 _COORDS = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
 class VectorField:
-    cx: Expr
-    cy: Expr
-    cz: Expr
+    """Instances compare and hash by their three components."""
+
+    def __init__(self, cx: Expr, cy: Expr, cz: Expr):
+        self.cx = cx
+        self.cy = cy
+        self.cz = cz
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components() == other.components()
+
+    def __hash__(self):
+        return hash(self.components())
 
     @staticmethod
     def of(cx, cy, cz) -> "VectorField":
@@ -93,7 +100,7 @@ def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
     return VectorField(*comps)
 
 
-def exact_div(num: Expr, den: Expr) -> Optional[Expr]:
+def exact_div(num: Expr, den: Expr) -> Expr | None:
     """Exact quotient num/den by a single-term divisor, or None when the
     division does not come out even.  The quotient never introduces
     negative powers absent from the inputs.  Multi-term divisors raise
@@ -116,7 +123,7 @@ def exact_div(num: Expr, den: Expr) -> Optional[Expr]:
     return q
 
 
-def proportional_to(f: VectorField, ref: VectorField) -> Optional[Expr]:
+def proportional_to(f: VectorField, ref: VectorField) -> Expr | None:
     """Scalar phi with f = phi * ref, or None if no such multiple exists.
 
     The pivot is the first nonzero component of ref in the order x, y, z;

@@ -23,11 +23,10 @@ b_p telescopes through the chain dimensions to zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence
 
 from .model import _is_row, _rational
 from .symbolic import _coef
@@ -44,11 +43,11 @@ def _vec(values) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
 class StructureMatrix:
     """3x3 exact matrix c with [X_i, Y_j] = c_ij Z."""
 
-    rows: tuple
+    def __init__(self, rows: tuple):
+        self.rows = rows
 
     @classmethod
     def of(cls, rows) -> "StructureMatrix":
@@ -271,12 +270,12 @@ def _mat_mul(a, b):
     return out
 
 
-@dataclass
 class ChainComplex:
     """All eight boundary matrices of one algebra, ready for exact rank
     and composition checks."""
 
-    matrices: tuple  # matrices[p] is d_p, p = 0..7
+    def __init__(self, matrices: tuple):
+        self.matrices = matrices  # matrices[p] is d_p, p = 0..7
 
     def dims(self):
         return [comb(DIM, p) for p in range(DIM + 1)]

@@ -19,20 +19,20 @@ through which E enters the drift.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import IO, Mapping, Sequence, Union
 
 from .fields import VectorField
 from .symbolic import (
     E, Expr, compile_exprs, param, substitute, var,
 )
 
-Value = Union[Fraction, Expr]
+Value = Fraction | Expr
 
 # (name, required sign): +1 strictly positive, -1 strictly negative
 _SIGN_TABLE = (
@@ -79,22 +79,39 @@ class InvalidParamsError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
 class Params:
     """Model coefficients.  Entries are exact rationals, or expressions
-    when built with Params.symbolic() for structural identities."""
+    when built with Params.symbolic() for structural identities.
+    Instances compare and hash by their entries."""
 
-    alpha1: Value
-    alpha2: Value
-    alpha3: Value
-    beta11: Value
-    beta12: Value
-    beta13: Value
-    beta22: Value
-    beta22p: Value
-    beta32: Value
-    beta33: Value
-    gamma: tuple  # ((g11, g12, g13), (g21, g22, g23))
+    def __init__(self, alpha1: Value, alpha2: Value, alpha3: Value,
+                 beta11: Value, beta12: Value, beta13: Value,
+                 beta22: Value, beta22p: Value, beta32: Value,
+                 beta33: Value, gamma: tuple):
+        self.alpha1 = alpha1
+        self.alpha2 = alpha2
+        self.alpha3 = alpha3
+        self.beta11 = beta11
+        self.beta12 = beta12
+        self.beta13 = beta13
+        self.beta22 = beta22
+        self.beta22p = beta22p
+        self.beta32 = beta32
+        self.beta33 = beta33
+        self.gamma = gamma  # ((g11, g12, g13), (g21, g22, g23))
+
+    def _key(self) -> tuple:
+        return (self.alpha1, self.alpha2, self.alpha3, self.beta11,
+                self.beta12, self.beta13, self.beta22, self.beta22p,
+                self.beta32, self.beta33, self.gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def make(cls, alpha, beta, gamma) -> "Params":
@@ -226,26 +243,24 @@ def build_fields(p: Params, e: Expr = E):
     return (f0,) + controls + (b_field,)
 
 
-@dataclass(frozen=True)
 class ControlSchedule:
     """Piecewise-constant controls: entries (t, u1, u2, u3) with t
     strictly increasing from 0; each triple holds until the next time."""
 
-    entries: tuple
-
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple):
+        if not entries:
             raise ValueError("control schedule needs at least one entry")
-        for e in self.entries:
+        for e in entries:
             if not (_is_row(e) and len(e) == 4
                     and all(map(_finite_real, e))):
                 raise ValueError(
                     f"each control entry is [t, u1, u2, u3] of finite "
                     f"numbers, got {e!r}")
-        times = [float(e[0]) for e in self.entries]
+        self.entries = entries
+        times = [float(e[0]) for e in entries]
         # bisected by value_at; simulate finds its segment bounds
         # from it once per run
-        object.__setattr__(self, "_times", times)
+        self._times = times
         if times[0] != 0.0:
             raise ValueError("control schedule must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -267,17 +282,17 @@ class ControlSchedule:
         return (float(u1), float(u2), float(u3))
 
 
-@dataclass
 class Trajectory:
     """Sampled solution.  times and states have equal length; diverged
     marks a run truncated at the first non-finite (or unevaluable)
     right-hand side."""
 
-    times: list
-    states: list
-    diverged: bool = False
+    def __init__(self, times: list, states: list, diverged: bool = False):
+        self.times = times
+        self.states = states
+        self.diverged = diverged
 
-    def to_csv(self, stream: IO[str]) -> None:
+    def to_csv(self, stream: io.TextIOBase) -> None:
         # the fields are float reprs, which never need CSV quoting
         stream.write("t,x,y,z\n")
         stream.write("".join(f"{t!r},{sx!r},{sy!r},{sz!r}\n"

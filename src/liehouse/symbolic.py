@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 import random
 import weakref
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Optional
 
 VARIABLE_NAMES = ("x", "y", "z")
 PARAMETER_NAMES = (
@@ -271,7 +271,7 @@ ONE = Expr((((), 1),))
 _AT_ZERO = {"tanh": ZERO, "sin": ZERO, "exp": ONE, "cos": ONE}
 
 
-def _coerce(value) -> Optional[Expr]:
+def _coerce(value) -> Expr | None:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
@@ -524,7 +524,7 @@ class _Substitution:
             self.map[_as_atom(k)] = as_expr(v)
         self.cache: dict = {}
         base = self.map.get(_epartial_atom(0, 0))
-        self.derived: Optional[dict] = None
+        self.derived: dict | None = None
         if base is not None:
             self.derived = {(0, 0): base}
             for atom, bound in self.map.items():
@@ -877,7 +877,7 @@ def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
     return True
 
 
-def is_zero(e, rng: Optional[random.Random] = None) -> bool:
+def is_zero(e, rng: random.Random | None = None) -> bool:
     """Decide whether e is identically zero.
 
     Without transcendental or reciprocal atoms e is a Laurent polynomial,
@@ -904,7 +904,7 @@ def is_zero(e, rng: Optional[random.Random] = None) -> bool:
                          rng)
 
 
-def is_zero_products(pairs, rng: Optional[random.Random] = None) -> bool:
+def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
     """Decide whether the sum of a * b over the (a, b) pairs is
     identically zero, without multiplying the pairs out to refute it.
 

@@ -428,11 +428,15 @@ def test_nan_in_a_report_exit_two(params_file, capsys, monkeypatch):
 
 
 def test_check_e_and_simulate_leave_numpy_unloaded(params_file, tmp_path):
-    # every subcommand runs with numpy made unimportable
+    # every subcommand runs with numpy made unimportable, and with
+    # dataclasses, inspect and typing too: the package imports none of
+    # them (they are blocked, not looked up in sys.modules, because site
+    # start-up may already have loaded typing)
     out = str(tmp_path / "out")
     script = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
+        "for name in ('numpy', 'dataclasses', 'inspect', 'typing'):\n"
+        "    sys.modules[name] = None\n"
         "from liehouse.cli import main\n"
         f"p, o = {params_file!r}, {out!r}\n"
         "assert main(['check-e', '--params', p, '--e', 'tanh:1,2,1,3,1',"

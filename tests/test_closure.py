@@ -3,7 +3,6 @@ third-order operators, and the structure report."""
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -362,7 +361,8 @@ def test_engine_checks_signs_before_closing_e():
     """gamma11 = 0 is inadmissible, and closing x / gamma11 with it would
     divide by zero: the sign check must come first."""
     p = demo_params()
-    p = replace(p, gamma=((Fraction(0),) + p.gamma[0][1:], p.gamma[1]))
+    p = Params(**{**vars(p), "gamma": ((Fraction(0),) + p.gamma[0][1:],
+                                       p.gamma[1])})
     with pytest.raises(InvalidParamsError) as err:
         ClosureEngine(p, X / param("gamma11"))
     assert any("gamma11" in v for v in err.value.violations)

@@ -69,6 +69,16 @@ def test_field_arithmetic():
     assert VectorField.of(1, 0, 0).cx == as_expr(1)
 
 
+def test_fields_compare_and_hash_by_components():
+    f = VectorField(X, Y, Z)
+    same = VectorField(cx=X, cy=Y, cz=as_expr(0) + Z)
+    assert f == same and not f != same
+    assert hash(f) == hash(same)
+    assert f != VectorField(X, Z, Y) and not f == VectorField(X, Z, Y)
+    assert VectorField.of(0, 0, 0) == ZERO_FIELD
+    assert f != (X, Y, Z)
+
+
 def test_exact_div_monomial_and_polynomial():
     num = X * X * Y * 6
     assert exact_div(num, X * Y * 2) == X * 3

@@ -76,10 +76,27 @@ def test_validate_flags_each_sign(name, bad):
                          "b33": base.beta33}, g)
     else:
         kw = {name: Fraction(bad)}
-        from dataclasses import replace
-        p = replace(base, **kw)
+        p = Params(**{**vars(base), **kw})
     found = validate_params(p)
     assert any(name in v for v in found)
+
+
+def test_params_compare_and_hash_by_entries():
+    p = demo_params()
+    by_name = Params(**{name: getattr(p, name) for name in (
+        "alpha1", "alpha2", "alpha3", "beta11", "beta12", "beta13",
+        "beta22", "beta22p", "beta32", "beta33", "gamma")})
+    assert by_name == p and not by_name != p
+    assert hash(by_name) == hash(p)
+    assert Params.from_json(json.dumps({
+        "alpha": [1, 1.5, 0.5],
+        "beta": {"b11": -1, "b12": 2, "b13": 0.5, "b22": -1.5,
+                 "b22p": -0.5, "b32": 1, "b33": -1},
+        "gamma": [[2, 1, 0.5], [-1, -1.5, 1]]})) == p
+    other = Params(**{**vars(p), "beta33": Fraction(-2)})
+    assert other != p and not other == p
+    assert Params.symbolic() == Params.symbolic() != p
+    assert p != vars(p)
 
 
 def test_symbolic_params_skip_validation():
@@ -106,8 +123,7 @@ def test_build_fields_shapes():
 
 
 def test_build_fields_rejects_bad_params():
-    from dataclasses import replace
-    p = replace(demo_params(), alpha1=Fraction(-1))
+    p = Params(**{**vars(demo_params()), "alpha1": Fraction(-1)})
     with pytest.raises(InvalidParamsError) as err:
         build_fields(p)
     assert any("alpha1" in v for v in err.value.violations)
@@ -116,9 +132,9 @@ def test_build_fields_rejects_bad_params():
 def test_simulate_checks_signs_before_closing_e():
     """gamma11 = 0 is inadmissible, and closing x / gamma11 with it would
     divide by zero: the sign check must come first."""
-    from dataclasses import replace
     p = demo_params()
-    p = replace(p, gamma=((Fraction(0),) + p.gamma[0][1:], p.gamma[1]))
+    p = Params(**{**vars(p), "gamma": ((Fraction(0),) + p.gamma[0][1:],
+                                       p.gamma[1])})
     with pytest.raises(InvalidParamsError) as err:
         simulate(p, X / param("gamma11"), ControlSchedule.zero(),
                  (0.0, 0.0, 0.0), 0.01, 1)
@@ -166,6 +182,14 @@ def test_schedule_lookup_with_many_entries():
 
 
 # -- simulator ----------------------------------------------------------
+
+def test_trajectory_defaults_to_not_diverged():
+    traj = Trajectory([0.0], [(1.0, 2.0, 3.0)])
+    assert traj.diverged is False
+    flagged = Trajectory(times=[0.0], states=[(1.0, 2.0, 3.0)],
+                         diverged=True)
+    assert flagged.diverged is True and flagged.times == [0.0]
+
 
 def _linear_oracle(p: Params, init, t: float, u=(0.0, 0.0, 0.0)):
     """Closed-form endpoint for E = 0 and constant controls via the
