@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .fields import VectorField
 from .symbolic import (
-    E, Expr, compile_exprs, param, substitute, var,
+    E, Expr, all_atoms, compile_exprs, param, substitute, var, _PARAM,
 )
 
 Value = Fraction | Expr
@@ -178,9 +178,12 @@ class Params:
 
     def close(self, expr: Expr) -> Expr:
         """expr with every parameter atom replaced by this instance's
-        value.  A symbolic instance holds the atoms themselves, so expr
-        comes back unchanged."""
-        if self.is_symbolic():
+        value.  A symbolic instance holds the atoms themselves, and an
+        expr that reaches no parameter atom, even inside a tanh argument
+        or a reciprocal base, has nothing to replace: either way expr
+        itself comes back."""
+        if self.is_symbolic() or not any(
+                atom.kind == _PARAM for atom in all_atoms(expr)):
             return expr
         return substitute(expr, {param(name): self.value(name)
                                  for name, _ in _SIGN_TABLE})

@@ -34,6 +34,12 @@ factors.
 Structural arithmetic is exact: a coefficient is an int when its
 denominator is 1 and a fractions.Fraction otherwise, and the two
 compare, hash and print alike, so the choice never shows in a result.
+Sums, derivatives and products of two multi-term expressions are
+collected through one monomial -> coefficient map.  A product with a
+single-term side is not: a constant scales the coefficients and keeps
+the term order, and a single monomial u sends m to m * u, which adds
+exponent vectors and so keeps distinct monomials distinct; those
+products are only sorted.
 Floats appear only in eval_numeric, in the programs compile_exprs
 builds, and in sampling.
 """
@@ -146,6 +152,12 @@ def monomial_key(mono) -> tuple:
     return tuple((a.key, k) for a, k in mono)
 
 
+def _term_key(term) -> tuple:
+    """monomial_key of a (monomial, coefficient) term, the sort key of
+    Expr.terms."""
+    return tuple([(a.key, k) for a, k in term[0]])
+
+
 def _atom_expr(atom: Atom) -> "Expr":
     return Expr(((((atom, 1),), 1),))
 
@@ -225,8 +237,30 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _collect((_merge_monomials(m1, m2), c1 * c2)
-                        for m1, c1 in self.terms for m2, c2 in other.terms)
+        one, many = self.terms, other.terms
+        if len(one) > len(many):
+            one, many = many, one
+        if len(one) != 1:
+            return _collect((_merge_monomials(m1, m2), c1 * c2)
+                            for m1, c1 in self.terms
+                            for m2, c2 in other.terms)
+        # one side is a single term k * u: m -> m * u adds exponent
+        # vectors, so distinct monomials stay distinct and nothing collects
+        (u, k), = one
+        if not u and k == 1:
+            return self if one is other.terms else other
+        terms = many
+        if k != 1:
+            terms = []
+            for m, c in many:
+                c = c * k
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
+                terms.append((m, c))
+        if u:  # a constant keeps every monomial and their order
+            terms = sorted([(_merge_monomials(m, u), c) for m, c in terms],
+                           key=_term_key)
+        return Expr(tuple(terms))
 
     __rmul__ = __mul__
 
@@ -291,22 +325,28 @@ def as_expr(value) -> Expr:
 
 def _collect(pairs, acc=None) -> Expr:
     """The canonical sum of (monomial, coefficient) pairs added onto acc,
-    a monomial -> coefficient map the call consumes.  Every sum and
-    product in the kernel is built here, once; a sum whose denominator
-    is 1 is kept as an int."""
+    a monomial -> coefficient map the call consumes.  Every coefficient
+    is nonzero.  Every sum, every derivative and every product of two
+    multi-term expressions is built here, once; a product with a
+    single-term side needs no collecting (see Expr.__mul__).  A monomial
+    seen for the first time keeps its coefficient, and a coefficient or
+    sum whose denominator is 1 is kept as an int."""
     if acc is None:
         acc = {}
+    get = acc.get
     for m, c in pairs:
-        nc = acc.get(m, 0) + c
-        if nc:
-            if nc.__class__ is Fraction and nc.denominator == 1:
-                nc = nc.numerator
-            acc[m] = nc
-        elif m in acc:
-            del acc[m]
+        old = get(m)
+        if old is not None:
+            c = old + c
+            if not c:
+                del acc[m]
+                continue
+        if c.__class__ is Fraction and c.denominator == 1:
+            c = c.numerator
+        acc[m] = c
     if not acc:
         return ZERO
-    return Expr(tuple(sorted(acc.items(), key=lambda it: monomial_key(it[0]))))
+    return Expr(tuple(sorted(acc.items(), key=_term_key)))
 
 
 def add_all(exprs) -> Expr:
@@ -500,9 +540,9 @@ def _derivative_pairs(e: Expr, vname: str):
                 rest = m[:idx] + m[idx + 1:]
             else:
                 rest = m[:idx] + ((atom, k - 1),) + m[idx + 1:]
-            ck = c * k
+            ck = c if k == 1 else c * k
             for dm, dc in datom.terms:
-                yield _merge_monomials(rest, dm), ck * dc
+                yield _merge_monomials(rest, dm), ck if dc == 1 else ck * dc
 
 
 # -- substitution ------------------------------------------------------
@@ -609,10 +649,15 @@ def _eval_terms(e: Expr, memo: dict):
     """Evaluate term by term, returning (sum, largest term magnitude)."""
     total = 0.0
     scale = 0.0
+    get = memo.get
     for m, c in e.terms:
-        prod = float(c)
+        # int / int rounds once, exactly as float(Fraction) does
+        prod = float(c) if c.__class__ is int else c.numerator / c.denominator
         for atom, k in m:
-            prod *= _eval_atom(atom, memo) ** k
+            v = get(atom)
+            if v is None:
+                v = _eval_atom(atom, memo)
+            prod *= v if k == 1 else v ** k
         total += prod
         mag = abs(prod)
         if mag > scale:
@@ -844,9 +889,10 @@ _SAMPLE_POINTS = 8
 _SAMPLE_TOL = 1e-9
 
 
-def _sample_rational(rng: random.Random) -> Fraction:
-    """A seeded uniform rational in [-2, 2] with denominator 10^6."""
-    return Fraction(rng.randint(-2_000_000, 2_000_000), 1_000_000)
+def _sample_rational(rng: random.Random) -> float:
+    """A seeded uniform rational in [-2, 2] with denominator 10^6, as the
+    nearest float (int / int rounds once, as float(Fraction) does)."""
+    return rng.randint(-2_000_000, 2_000_000) / 1_000_000
 
 
 def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
@@ -863,7 +909,7 @@ def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
         if attempts > 25 * _SAMPLE_POINTS:
             raise EvaluationError(
                 "could not find enough finite sample points")
-        memo = {a: float(_sample_rational(rng)) for a in unknowns}
+        memo = {a: _sample_rational(rng) for a in unknowns}
         try:
             value, scale = value_at(memo)
         except (ZeroDivisionError, OverflowError, ValueError):

@@ -19,7 +19,8 @@ from liehouse.model import (
 )
 from liehouse.parsing import parse
 from liehouse.symbolic import (
-    as_expr, compile_exprs, eval_numeric, evaluate, param, to_text, var,
+    PARAMETER_NAMES, as_expr, compile_exprs, eval_numeric, evaluate, param,
+    substitute, to_text, var,
 )
 
 from conftest import rand_params
@@ -139,6 +140,29 @@ def test_simulate_checks_signs_before_closing_e():
         simulate(p, X / param("gamma11"), ControlSchedule.zero(),
                  (0.0, 0.0, 0.0), 0.01, 1)
     assert any("gamma11" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("text", [
+    "x*y", "E", "tanh(x + 2*y)", "1/(1 + y)", "x^-2*tanh(1/(3 + x*y))", "7",
+])
+def test_close_returns_a_parameter_free_expr_itself(text):
+    e = parse(text)
+    assert demo_params().close(e) is e
+    assert Params.symbolic().close(e) is e
+
+
+@pytest.mark.parametrize("text", [
+    "tanh(alpha1*x)", "1/(1 + beta12*y)", "x*tanh(1/(gamma11 + y))",
+    "alpha2*x + y",
+])
+def test_close_substitutes_a_parameter_inside_atoms(text):
+    p = demo_params()
+    e = parse(text)
+    got = p.close(e)
+    assert got == substitute(e, {param(name): p.value(name)
+                                 for name in PARAMETER_NAMES})
+    assert "alpha" not in to_text(got) and "beta" not in to_text(got)
+    assert "gamma" not in to_text(got) and got != e
 
 
 def test_symbolic_fields_carry_parameter_atoms():
