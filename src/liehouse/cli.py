@@ -6,15 +6,21 @@ or stdout.  Every JSON report embeds the seed and, where Delta enters,
 the cross_variant in use; the simulate CSV carries neither.  Identical
 arguments give identical output bytes.
 
+Each call builds the parser of the subcommand it names and no other:
+building all six cost more than a homology run itself.  Help, usage
+and error text are the bytes of the full parser, which an argv that
+names no subcommand (none, -h, an unknown name) still builds.
+
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
 error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, inadmissible parameters
-outside validate, non-finite --dt, --tol, --grid or --init values,
-singular candidates, zero tests without a finite sample point), 3
-internal error (a raw bracket printed by bracket left the B line, which
-the model structure rules out: ClosureDefectError; closure and check-e
-build no bracket and read no scalar off B, so they cannot raise it).
+outside validate, non-finite --dt, --tol, --grid or --init values, a
+--grid of more than evapo.MAX_GRID_POINTS points, singular candidates,
+zero tests without a finite sample point), 3 internal error (a raw
+bracket printed by bracket left the B line, which the model structure
+rules out: ClosureDefectError; closure and check-e build no bracket and
+read no scalar off B, so they cannot raise it).
 """
 
 from __future__ import annotations
@@ -185,65 +191,84 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Shared options, then each command's handler, summary and options in
+# help order.  The order matters: help and usage list options as added.
+_PARAMS = ("--params", {"required": True, "help": "JSON parameter file"})
+_E = ("--e", {"help": "E descriptor: tanh:C1,C2,C3,C4,i "
+                      "| char:i,j[,k][,diag]:<F1>;<F2>[;<F3>] "
+                      "| expr:<text>"})
+_GRID = ("--grid", {"help": '"nx,ny" or "nx,ny,x0,x1,y0,y1"'})
+_CROSS = ("--cross", {"choices": CROSS_VARIANTS, "default": "bracket_1",
+                      "help": "mixed-partial coefficient variant of "
+                              "Delta_ij"})
+_SEED = ("--seed", {"type": int, "default": 0,
+                    "help": "recorded in JSON reports; drives the sampled "
+                            "zero tests of closure (default 0)"})
+_OUT = ("--out", {"help": "output path (default stdout)"})
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "check parameter signs",
+                 (_PARAMS, _SEED, _OUT)),
+    "bracket": (_cmd_bracket, "fields and raw brackets",
+                (_PARAMS, _E, _SEED, _OUT)),
+    "closure": (_cmd_closure, "full closure scan",
+                (_PARAMS, _E, _CROSS, _SEED, _OUT)),
+    "check-e": (_cmd_check_e, "measure an E candidate on a grid",
+                (_PARAMS, _E, _GRID, _CROSS, _SEED, _OUT,
+                 ("--tol", {"type": float, "default": 1e-9,
+                            "help": "pass tolerance (default 1e-9)"}))),
+    "homology": (_cmd_homology, "Betti numbers of the span algebra",
+                 (_SEED, _OUT,
+                  ("--c", {"default": "identity",
+                           "help": '"identity" or a JSON 3x3 matrix '
+                                   'file'}))),
+    "simulate": (_cmd_simulate, "fixed-step trajectory CSV",
+                 (_PARAMS, _E, _SEED, _OUT,
+                  ("--init", {"default": "0,0,0",
+                              "help": '"x,y,z" start state; write a '
+                                      'negative first value as '
+                                      '--init=-0.5,0,0'}),
+                  ("--dt", {"type": float, "default": 0.01}),
+                  ("--steps", {"type": int, "default": 100}),
+                  ("--ctrl", {"help": "JSON control schedule "
+                                      "[[t,u1,u2,u3], ...] (default: zero "
+                                      "controls)"}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When `command` names a subcommand, only
+    that subparser and its options are registered: a call parses one
+    subcommand, and building all six (each option makes a help
+    formatter) cost more than a homology run.  Help, usage and error
+    text are the same bytes either way.  Any other `command` builds all
+    six."""
     parser = argparse.ArgumentParser(
         prog="liehouse",
         description="Bracket structure, evapotranspiration candidates, "
                     "and homology for the greenhouse climate model.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary, params=True, e=True, grid=False,
-                cross=False):
+    if command in _COMMANDS:
+        # the top-level usage line must still list every command; the
+        # full parser takes it from its choices, and a metavar there
+        # would also rename the "argument command" of its errors
+        names = (command,)
+        listing = {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    else:
+        names, listing = _COMMANDS, {}
+    sub = parser.add_subparsers(dest="command", required=True, **listing)
+    for name in names:
+        handler, summary, options = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
-        if params:
-            sp.add_argument("--params", required=True,
-                            help="JSON parameter file")
-        if e:
-            sp.add_argument("--e", help="E descriptor: tanh:C1,C2,C3,C4,i "
-                            "| char:i,j[,k][,diag]:<F1>;<F2>[;<F3>] "
-                            "| expr:<text>")
-        if grid:
-            sp.add_argument("--grid",
-                            help='"nx,ny" or "nx,ny,x0,x1,y0,y1"')
-        if cross:
-            sp.add_argument("--cross", choices=CROSS_VARIANTS,
-                            default="bracket_1",
-                            help="mixed-partial coefficient variant of "
-                            "Delta_ij")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="recorded in JSON reports; drives the sampled "
-                        "zero tests of closure (default 0)")
-        sp.add_argument("--out", help="output path (default stdout)")
-        return sp
-
-    command("validate", _cmd_validate, "check parameter signs", e=False)
-    command("bracket", _cmd_bracket, "fields and raw brackets")
-    command("closure", _cmd_closure, "full closure scan", cross=True)
-
-    sp = command("check-e", _cmd_check_e, "measure an E candidate on a grid",
-                 grid=True, cross=True)
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="pass tolerance (default 1e-9)")
-
-    sp = command("homology", _cmd_homology,
-                 "Betti numbers of the span algebra", params=False, e=False)
-    sp.add_argument("--c", default="identity",
-                    help='"identity" or a JSON 3x3 matrix file')
-
-    sp = command("simulate", _cmd_simulate, "fixed-step trajectory CSV")
-    sp.add_argument("--init", default="0,0,0",
-                    help='"x,y,z" start state; write a negative first '
-                    'value as --init=-0.5,0,0')
-    sp.add_argument("--dt", type=float, default=0.01)
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--ctrl", help="JSON control schedule "
-                    "[[t,u1,u2,u3], ...] (default: zero controls)")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError, SymbolicError) as err:

@@ -211,6 +211,13 @@ def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
 
 # -- measurement -------------------------------------------------------
 
+# A grid is materialised point by point before it is measured, and the
+# sweep runs at about 3 M condition evaluations per second (63 per
+# point), so 10**6 points is roughly 20 s.  The largest grid any golden,
+# acceptance test or benchmark op measures is 16x60 (960 points).
+MAX_GRID_POINTS = 10**6
+
+
 def _axis(n: int, a: float, b: float) -> list:
     """n points from a to b inclusive, a + (b - a) * t / (n - 1).  Where
     that overflows though the point lies between the finite ends, the
@@ -229,9 +236,13 @@ def _axis(n: int, a: float, b: float) -> list:
 
 def make_grid(nx: int, ny: int, x0: float, x1: float,
               y0: float, y1: float) -> list:
-    """nx by ny uniform grid, inclusive of both ends."""
+    """nx by ny uniform grid, inclusive of both ends, of at most
+    MAX_GRID_POINTS points."""
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one point per axis")
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {nx}x{ny} points exceeds the limit of "
+                         f"{MAX_GRID_POINTS} points")
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
         raise ValueError("grid bounds must be finite")
     xs, ys = _axis(nx, x0, x1), _axis(ny, y0, y1)

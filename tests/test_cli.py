@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report shape, and byte-level
 determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -126,6 +127,18 @@ def test_check_e_requires_descriptor(params_file, capsys):
 def test_check_e_bad_grid(params_file, capsys):
     assert main(["check-e", "--params", params_file,
                  "--e", "tanh:1,2,1,3,1", "--grid", "5"]) == 2
+
+
+def test_check_e_oversized_grid_exit_two_before_allocating(capsys):
+    # 10**16 points: rejected before an axis is built, not swept
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    params = os.path.join(root, "tests", "golden", "cli", "params.json")
+    assert main(["check-e", "--params", params, "--e", "tanh:1,2,1,3,1",
+                 "--grid", "100000000,100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid of 100000000x100000000 points "
+                            "exceeds the limit of 1000000 points\n")
 
 
 @pytest.mark.parametrize("e", ["expr:x*y", "expr:x^2*y"])
@@ -305,10 +318,96 @@ def test_bracket_report(params_file, tmp_path):
     assert report["y"]["1"][2] == "1"
 
 
-def test_unknown_command_is_usage_error():
+_USAGE = ("usage: liehouse [-h] "
+          "{validate,bracket,closure,check-e,homology,simulate} ...\n")
+_COMMANDS = ("validate", "bracket", "closure", "check-e", "homology",
+             "simulate")
+
+
+def _exit_and_output(parse, argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+        parse(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+def test_unknown_command_is_usage_error(capsys):
+    code, out, err = _exit_and_output(main, ["frobnicate"], capsys)
+    assert code == 2
+    assert out == ""
+    # later 3.13 releases print the choices without quotes
+    choices = ", ".join(_COMMANDS)
+    assert err in (_USAGE + "liehouse: error: argument command: invalid "
+                   f"choice: 'frobnicate' (choose from {listed})\n"
+                   for listed in (choices, ", ".join(map(repr, _COMMANDS))))
+
+
+def test_no_command_and_top_level_help_keep_their_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_and_output(main, [], capsys) == (2, "", _USAGE + (
+        "liehouse: error: the following arguments are required: "
+        "command\n"))
+    code, out, err = _exit_and_output(main, ["-h"], capsys)
+    assert (code, err) == (0, "")
+    assert out == _USAGE + """
+Bracket structure, evapotranspiration candidates, and homology for the
+greenhouse climate model.
+
+positional arguments:
+  {validate,bracket,closure,check-e,homology,simulate}
+    validate            check parameter signs
+    bracket             fields and raw brackets
+    closure             full closure scan
+    check-e             measure an E candidate on a grid
+    homology            Betti numbers of the span algebra
+    simulate            fixed-step trajectory CSV
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_command_parser_answers_like_the_full_parser(command, capsys,
+                                                         monkeypatch):
+    # main builds only the named command's parser; its help, usage and
+    # error bytes must be those of the parser holding all six
+    monkeypatch.setenv("COLUMNS", "80")
+    full = liehouse.cli.build_parser().parse_args
+    cases = [([command, "-h"], 0), ([command, "--bogus", "1"], 2),
+             ([command, "--out"], 2), ([command, "--seed", "x"], 2),
+             ([command, "extra"], 2), ([command, "homology"], 2),
+             ([command, "--params", "p.json", "extra"], 2)]
+    if command in ("closure", "check-e"):
+        cases.append(([command, "--cross", "nope"], 2))
+    if command == "simulate":
+        cases.append(([command, "--steps", "1.5"], 2))
+    for argv, expected in cases:
+        ours = _exit_and_output(main, argv, capsys)
+        assert ours == _exit_and_output(full, argv, capsys), argv
+        code, out, err = ours
+        assert code == expected, argv
+        if code == 0:
+            assert out.startswith(f"usage: liehouse {command} [-h]")
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith("usage: liehouse ")
+            assert ": error: " in err.splitlines()[-1]
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["homology"]) == 0
+    assert built == ["homology"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command,descriptor", [

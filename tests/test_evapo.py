@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from liehouse.closure import CROSS_VARIANTS, ClosureEngine, delta_ij, delta_ijk
 from liehouse.evapo import (
-    CharacteristicFamily, PoleError, TanhConstants, characteristic_line,
-    default_grid, descriptor_to_expr, e_characteristic, e_tanh, make_grid,
-    parse_descriptor, verify_candidate, _measure_all,
+    MAX_GRID_POINTS, CharacteristicFamily, PoleError, TanhConstants,
+    characteristic_line, default_grid, descriptor_to_expr, e_characteristic,
+    e_tanh, make_grid, parse_descriptor, verify_candidate, _measure_all,
 )
 from liehouse.model import Params, demo_params
 from liehouse.symbolic import (
@@ -186,6 +186,13 @@ def test_make_grid_inclusive_bounds():
     assert xs == [0.0, 0.5, 1.0]
     assert ys == [0.0, 1.0]
     assert len(default_grid()) == 25
+
+
+def test_make_grid_rejects_more_than_the_point_limit():
+    for nx, ny in ((1, MAX_GRID_POINTS + 1), (MAX_GRID_POINTS, 2),
+                   (10**8, 10**8)):
+        with pytest.raises(ValueError, match="exceeds the limit of"):
+            make_grid(nx, ny, 0.1, 0.9, 0.1, 0.9)
 
 
 def test_make_grid_interpolates_where_the_span_overflows():
