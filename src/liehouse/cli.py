@@ -62,22 +62,24 @@ def _admissible_params(args: argparse.Namespace) -> Params:
 def _parse_grid(text: str | None):
     if text is None:
         return default_grid()
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) == 2:
+    parts = text.split(",")
+    try:
+        if len(parts) not in (2, 6):
+            raise ValueError
         nx, ny = int(parts[0]), int(parts[1])
-        return make_grid(nx, ny, 0.1, 0.9, 0.1, 0.9)
-    if len(parts) == 6:
-        nx, ny = int(parts[0]), int(parts[1])
-        x0, x1, y0, y1 = (float(s) for s in parts[2:])
-        return make_grid(nx, ny, x0, x1, y0, y1)
-    raise ValueError('--grid wants "nx,ny" or "nx,ny,x0,x1,y0,y1"')
+        bounds = [float(s) for s in parts[2:]] or [0.1, 0.9, 0.1, 0.9]
+    except ValueError:
+        raise ValueError('--grid wants "nx,ny" or "nx,ny,x0,x1,y0,y1", '
+                         f'got {text!r}') from None
+    return make_grid(nx, ny, *bounds)
 
 
 def _parse_init(text: str):
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError('--init wants "x,y,z"')
-    return tuple(float(s) for s in parts)
+    try:
+        x, y, z = (float(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f'--init wants "x,y,z", got {text!r}') from None
+    return x, y, z
 
 
 def _load_ctrl(path: str | None) -> ControlSchedule:

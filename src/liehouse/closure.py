@@ -47,10 +47,10 @@ from .fields import (
     VectorField, along, apply_to_scalar, gradient, lie_bracket,
     proportional_to,
 )
-from .model import Params, build_fields, require_admissible
+from .model import Params, build_fields
 from .symbolic import (
-    E, ZERO, Expr, add_all, all_atoms, differentiate, epartial,
-    is_zero, is_zero_products, substitute, to_text, _RECIP,
+    E, ZERO, Expr, add_all, differentiate, epartial, is_zero,
+    is_zero_products, substitute, to_text,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
@@ -108,29 +108,31 @@ class ClosureEngine:
         [Y_k, B] = -D_B Y_k = -(D_B D_k E) B,   s_k = -D_B D_k E
 
     D_k E and its gradient are cached per k (d_e); delta and
-    b_drift_factor read that one gradient.  M f_k is D_k of the E-free
-    drift build_fields(p, ZERO)[0], a constant vector.  The canonical
-    form makes each derived Expr equal to the one read off the literal
-    bracket (y_bracket, delta_bracket, lam_with), which stay as oracles.
+    b_drift_factor read that one gradient.  The fields are built once,
+    with E = 0, so the drift read there is A + M s: f0 is it minus E B,
+    and M f_k is D_k of it, a constant vector.  The canonical form makes
+    each derived Expr equal to the one read off the literal bracket
+    (y_bracket, delta_bracket, lam_with), which stay as oracles.
 
     grad(i, j) caches the three partials of delta(i, j) on the sorted
     pair, where delta is symmetric, so each distinct Delta_ij is
-    differentiated once per coordinate: delta3, lam and the constancy
-    test of check_closure all read that one gradient.  The derivatives
-    of single atoms are memoized on the atoms (see symbolic), so
-    building an engine touches no kernel state."""
+    differentiated once per coordinate: delta3 and lam read that one
+    gradient.  The derivatives of single atoms are memoized on the
+    atoms (see symbolic), so building an engine touches no kernel
+    state."""
 
     def __init__(self, p: Params, e: Expr | None = None,
                  cross_variant: str = "bracket_1"):
         _check_variant(cross_variant)
         self.cross_variant = cross_variant
-        require_admissible(p)
+        # the sign check comes before p.close, which may divide by zero
+        drift, f1, f2, f3, self.b = build_fields(p, ZERO)
         self.e_binding = None if e is None else p.close(e)
         e = E if e is None else self.e_binding
-        self.f0, f1, f2, f3, self.b = build_fields(p, e)
+        self.f0 = drift - self.b.scaled(e)
         self.controls = (f1, f2, f3)
         self._e_grad = gradient(e)
-        self._e_free_drift = build_fields(p, ZERO)[0]
+        self._e_free_drift = drift
         self._de: dict = {}
         self._y: dict = {}
         self._y_bracket: dict = {}
@@ -388,15 +390,13 @@ class ClosureReport:
 
     def __init__(self, c: list, constant_ok: list, delta3_zero: dict,
                  lambda_zero: dict, b_central: list, heisenberg: bool,
-                 mode: str, cross_variant: str, seed: int):
+                 cross_variant: str, seed: int):
         self.c = c                      # 3x3 delta scalars (Expr)
-        # 3x3 bools: delta_ij has zero x/y derivative
-        self.constant_ok = constant_ok
+        self.constant_ok = constant_ok  # 3x3: delta_ij is constant
         self.delta3_zero = delta3_zero  # (i,j,k) -> bool
         self.lambda_zero = lambda_zero  # (i,j,k) -> bool
         self.b_central = b_central      # per k: [[f0,f_k],B] vanishes
         self.heisenberg = heisenberg
-        self.mode = mode
         self.cross_variant = cross_variant
         self.seed = seed
 
@@ -418,7 +418,6 @@ class ClosureReport:
             "lambda_failures": [list(k) for k in lambda_fail],
             "b_central": list(self.b_central),
             "heisenberg": self.heisenberg,
-            "mode": self.mode,
             "cross_variant": self.cross_variant,
             "seed": self.seed,
         }
@@ -431,7 +430,10 @@ def check_closure(p: Params, e: Expr | None = None,
 
     Zero decisions are exact on the polynomial fragment and sampled
     from the single seed once transcendental or reciprocal atoms appear
-    (see is_zero).  Lambda_ijk is decided on its Leibniz pieces
+    (see is_zero).  Each distinct condition is decided once: the engine
+    returns one cached object per distinct Delta_ijk (10 of 27 under
+    bracket_1), c_ij (c_ij is c_ji) and s_k, and the scan keeps one
+    verdict per object.  Lambda_ijk is decided on its Leibniz pieces
     (ClosureEngine.lam_pieces) by is_zero_products, once per unordered
     (i, j), because the pieces are symmetric in i and j.  Pieces free of
     transcendental and reciprocal atoms are multiplied out and decided
@@ -442,54 +444,50 @@ def check_closure(p: Params, e: Expr | None = None,
     drawn over their own base atoms, so later draws from the seed may
     differ from those of sampling the expanded sum alone.
 
-    The report's mode is a label of the input, not a setting: "numeric"
-    when a reciprocal atom occurs in E or in some Delta_ij (the tanh
-    quotient family, for instance), "symbolic" otherwise.  A "symbolic"
-    label does not mean every decision was exact: a tanh, exp, sin or
-    cos atom alone already makes is_zero sample.
-
-    No pointwise rank of the seven generators is reported, because for
-    admissible parameters it is 3 at every state and for every E: f1
-    and f3 are independent in the (x, y) plane (gamma11 gamma23 -
-    gamma13 gamma21 > 0 under the sign constraints), and [f0, f1] has
-    the constant z-component -beta32 gamma21 != 0, since E enters only
-    the x and y components of f0.
+    For admissible parameters f1 and f3 are independent in the (x, y)
+    plane: gamma11 gamma23 - gamma13 gamma21 > 0 under the sign
+    constraints, a nonzero polynomial for symbolic parameters.  So
+    grad Delta_ij = 0 exactly when D_1 Delta_ij = D_3 Delta_ij = 0, and
+    constant_ok[i][j] is delta3_zero[i, j, 1] and delta3_zero[i, j, 3],
+    not a decision of its own; heisenberg, needing every Delta_ijk to
+    vanish, needs no constancy term.  No pointwise rank of the seven
+    generators is reported: it is 3 at every state and for every E,
+    since [f0, f1] adds the constant z-component -beta32 gamma21 != 0
+    (E enters only the x and y components of f0).
     """
     rng = random.Random(seed)
     engine = ClosureEngine(p, e, cross_variant)
+    verdicts = {}
+
+    def zero(expr: Expr) -> bool:
+        # by id: cheaper than hashing a sum; the caches keep it alive
+        got = verdicts.get(id(expr))
+        if got is None:
+            got = verdicts[id(expr)] = is_zero(expr, rng)
+        return got
 
     c = [[engine.delta(i, j) for j in _INDICES] for i in _INDICES]
-    scanned = [cij for row in c for cij in row]
-    if engine.e_binding is not None:
-        scanned.append(engine.e_binding)
-    recip = any(atom.kind == _RECIP
-                for expr in scanned for atom in all_atoms(expr))
-
-    grads = [[engine.grad(i, j) for j in _INDICES] for i in _INDICES]
-    constant_ok = [[is_zero(g[0], rng) and is_zero(g[1], rng) for g in row]
-                   for row in grads]
 
     delta3_zero = {}
     lambda_zero = {}
     for i, j, k in product(_INDICES, repeat=3):
-        delta3_zero[i, j, k] = is_zero(engine.delta3(i, j, k), rng)
+        delta3_zero[i, j, k] = zero(engine.delta3(i, j, k))
         # lam_pieces(i, j, k) is lam_pieces(j, i, k), decided already
         lambda_zero[i, j, k] = lambda_zero[j, i, k] if j < i else \
             is_zero_products(engine.lam_pieces(i, j, k), rng)
+    constant_ok = [[delta3_zero[i, j, 1] and delta3_zero[i, j, 3]
+                    for j in _INDICES] for i in _INDICES]
 
-    b_central = [is_zero(engine.b_drift_factor(k), rng) for k in _INDICES]
+    b_central = [zero(engine.b_drift_factor(k)) for k in _INDICES]
 
-    diag_nonzero = all(not is_zero(c[i][i], rng) for i in range(3))
-    offdiag_zero = all(is_zero(c[i][j], rng)
+    diag_nonzero = all(not zero(c[i][i]) for i in range(3))
+    offdiag_zero = all(zero(c[i][j])
                        for i in range(3) for j in range(3) if i != j)
-    heisenberg = (all(all(row) for row in constant_ok)
-                  and all(delta3_zero.values())
+    heisenberg = (all(delta3_zero.values())
                   and all(lambda_zero.values())
                   and offdiag_zero and diag_nonzero)
 
     return ClosureReport(
         c=c, constant_ok=constant_ok, delta3_zero=delta3_zero,
         lambda_zero=lambda_zero, b_central=b_central,
-        heisenberg=heisenberg,
-        mode="numeric" if recip else "symbolic",
-        cross_variant=cross_variant, seed=seed)
+        heisenberg=heisenberg, cross_variant=cross_variant, seed=seed)

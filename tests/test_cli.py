@@ -68,7 +68,7 @@ def test_closure_roundtrip(params_file, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["command"] == "closure"
-    assert report["mode"] == "symbolic"
+    assert "mode" not in report
     assert report["cross_variant"] == "bracket_1"
     assert report["seed"] == 0
     assert all(all(row) for row in report["constant_ok"])
@@ -125,8 +125,13 @@ def test_check_e_requires_descriptor(params_file, capsys):
 
 
 def test_check_e_bad_grid(params_file, capsys):
-    assert main(["check-e", "--params", params_file,
-                 "--e", "tanh:1,2,1,3,1", "--grid", "5"]) == 2
+    for grid in ("5", "1e3,5", "3,3,a,1,0,1"):
+        assert main(["check-e", "--params", params_file,
+                     "--e", "tanh:1,2,1,3,1", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('error: --grid wants "nx,ny" or '
+                                f'"nx,ny,x0,x1,y0,y1", got {grid!r}\n')
 
 
 def test_check_e_oversized_grid_exit_two_before_allocating(capsys):
@@ -267,8 +272,12 @@ def test_simulate_e_with_thousands_of_terms(params_file, capsys):
 
 
 def test_simulate_bad_init(params_file, capsys):
-    assert main(["simulate", "--params", params_file, "--e", "expr:0",
-                 "--init", "1,2"]) == 2
+    for init in ("1,2", "a,0,0", "0,0,0,0"):
+        assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                     "--init=" + init]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'error: --init wants "x,y,z", got {init!r}\n'
 
 
 def test_simulate_bad_ctrl(params_file, tmp_path, capsys):
@@ -456,6 +465,13 @@ def test_underflow_never_proves_lambda_zero(params_file, capsys):
     ["check-e", "--e", "expr:x*y", "--grid", "2,2,0,1,-inf,1"],
     ["check-e", "--e", "expr:x*y", "--tol", "-1"],
     ["check-e", "--e", "expr:x*y", "--tol", "0"],
+    # and the other malformed inputs that reach no report
+    ["closure", "--e", "tanh:1,2,x,3,1"],
+    ["closure", "--e", "char:1,2"],
+    ["closure", "--e", "char:a,b:x;x"],
+    ["closure", "--e", "char:1,2,3,diag:x;x;x"],
+    ["simulate"],
+    ["check-e", "--e", "expr:x*y", "--grid", "0,3"],
 ])
 def test_non_finite_floats_exit_two(params_file, capsys, extra):
     argv = extra[:1] + ["--params", params_file] + extra[1:]
@@ -463,6 +479,7 @@ def test_non_finite_floats_exit_two(params_file, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_mode_flag_is_gone(params_file):

@@ -4,13 +4,13 @@ third-order operators, and the structure report."""
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liehouse import closure, fields
+from liehouse import closure, fields, model
 from liehouse.closure import (
     CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij, delta_ij_formula,
     delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
@@ -171,7 +171,6 @@ def test_lambda_factors_through_bracket():
 
 def test_check_closure_constant_delta():
     rep = check_closure(demo_params(), X * Y)
-    assert rep.mode == "symbolic"
     assert all(all(row) for row in rep.constant_ok)
     assert all(rep.delta3_zero.values())
     assert not rep.heisenberg
@@ -211,15 +210,6 @@ def test_check_closure_variant_and_seed_recorded():
     assert rep.seed == 11
     with pytest.raises(ValueError):
         check_closure(demo_params(), X * Y, cross_variant="paper_3")
-
-
-def test_check_closure_recip_forces_numeric():
-    from liehouse.evapo import TanhConstants, e_tanh
-    p = demo_params()
-    e = e_tanh(p, TanhConstants.of(Fraction(1), Fraction(2), Fraction(1),
-                                   Fraction(3), 1))
-    rep = check_closure(p, e)
-    assert rep.mode == "numeric"
 
 
 def test_formula_agreement_random_params(rng):
@@ -538,3 +528,80 @@ def test_scan_and_check_e_build_no_bracket(name, monkeypatch):
     code, text = run_case(CASES[name])
     assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+# -- one decision per distinct condition --------------------------------
+
+_CLOSURE_CASES = sorted(
+    name for name, argv in CASES.items() if argv[0] == "closure")
+
+
+@pytest.mark.parametrize("name", _CLOSURE_CASES)
+def test_scan_decides_no_object_twice(name, monkeypatch):
+    decided = []  # holding the objects keeps their ids unique
+
+    def recording(expr, rng=None):
+        decided.append(expr)
+        return is_zero(expr, rng)
+
+    monkeypatch.setattr(closure, "is_zero", recording)
+    code, text = run_case(CASES[name])
+    assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    assert decided
+    assert len({id(expr) for expr in decided}) == len(decided)
+
+
+def test_engine_builds_the_fields_once(monkeypatch):
+    calls = {"build_fields": 0, "validate_params": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(closure, "build_fields",
+                        counted("build_fields", closure.build_fields))
+    monkeypatch.setattr(model, "validate_params",
+                        counted("validate_params", model.validate_params))
+    e = X ** 2 * tanh(Y)
+    engine = ClosureEngine(_GOLDEN, e)
+    assert calls == {"build_fields": 1, "validate_params": 1}
+    assert engine.f0 == build_fields(_GOLDEN, e)[0]
+
+
+def assert_constancy_follows_from_delta3(p, descriptor, variant, seed=0):
+    """constant_ok[i][j] equals the decision of both in-plane partials
+    of Delta_ij, made on the engine's gradient with an rng of its own."""
+    e = descriptor_to_expr(p, descriptor)
+    report = check_closure(p, e, variant, seed)
+    engine = ClosureEngine(p, e, variant)
+    rng = random.Random(seed)
+    for i, j in product(IDX, repeat=2):
+        g = engine.grad(i, j)
+        assert report.constant_ok[i - 1][j - 1] == \
+            (is_zero(g[0], rng) and is_zero(g[1], rng)), \
+            (descriptor, variant, i, j)
+
+
+@pytest.mark.parametrize("descriptor, variant", _CLOSURE_GOLDENS)
+def test_constancy_follows_from_delta3_on_goldens(descriptor, variant):
+    assert_constancy_follows_from_delta3(_GOLDEN, descriptor, variant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS),
+       st.integers(0, 2 ** 32 - 1))
+def test_constancy_follows_from_delta3_on_a_corpus(descriptor, variant,
+                                                   seed):
+    assert_constancy_follows_from_delta3(_GOLDEN, descriptor, variant, seed)
+
+
+@pytest.mark.parametrize("descriptor", sorted(
+    {descriptor for descriptor, _ in _CLOSURE_GOLDENS}))
+def test_delta3_verdict_is_symmetric_under_bracket_1(descriptor):
+    report = check_closure(_GOLDEN, descriptor_to_expr(_GOLDEN, descriptor))
+    for ijk in product(IDX, repeat=3):
+        verdicts = {report.delta3_zero[perm] for perm in permutations(ijk)}
+        assert len(verdicts) == 1, (descriptor, ijk)
