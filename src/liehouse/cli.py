@@ -35,9 +35,9 @@ from .closure import (
 from .evapo import (
     default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
-from .homology import StructureMatrix, build_algebra, homology_report
+from .homology import StructureMatrix, homology_report
 from .model import (
-    ControlSchedule, Params, require_admissible, simulate, validate_params,
+    ControlSchedule, Params, checked_once, simulate, validate_params,
 )
 from .symbolic import SymbolicError, to_text
 
@@ -54,9 +54,7 @@ def _emit_json(report: dict, out: str | None) -> None:
 
 
 def _admissible_params(args: argparse.Namespace) -> Params:
-    p = Params.from_file(args.params)
-    require_admissible(p)
-    return p
+    return checked_once(Params.from_file(args.params))
 
 
 def _parse_grid(text: str | None):
@@ -163,7 +161,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     else:
         with open(args.c, "r", encoding="utf-8") as handle:
             c = StructureMatrix.from_json(handle.read())
-    report = homology_report(build_algebra(c))
+    report = homology_report(c)
     payload = {
         "command": "homology",
         "c": [[str(v) for v in row] for row in c.rows],

@@ -61,6 +61,29 @@ def _rational(value, where: str) -> Fraction:
     return Fraction(value)
 
 
+def _json_number(text: str) -> Fraction:
+    """A JSON number literal as an exact Fraction.  A literal outside
+    the float range (infinite as a float, or a nonzero literal that
+    rounds to 0.0) is a ValueError naming it, raised before the Fraction
+    is built: Fraction("1e99999999") would build 10**99999999."""
+    value = float(text)
+    if math.isinf(value) or (
+            value == 0 and text.lower().partition("e")[0].strip("-0.")):
+        raise ValueError(f"number {text} is outside the float range")
+    # a zero literal may carry any exponent, such as 0e-99999999
+    return Fraction(text) if value else Fraction(0)
+
+
+def read_exact_json(text: str, what: str):
+    """Parse JSON text with every number an exact Fraction (see
+    _json_number); what names the input in the error message."""
+    try:
+        return json.loads(text, parse_float=_json_number,
+                          parse_int=_json_number)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{what} is not valid JSON: {err}")
+
+
 def _finite_real(value) -> bool:
     """A real number (not a bool or a string) with a finite float value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -83,6 +106,8 @@ class Params:
     """Model coefficients.  Entries are exact rationals, or expressions
     when built with Params.symbolic() for structural identities.
     Instances compare and hash by their entries."""
+
+    _admissible = False  # set by checked_once
 
     def __init__(self, alpha1: Value, alpha2: Value, alpha3: Value,
                  beta11: Value, beta12: Value, beta13: Value,
@@ -135,10 +160,7 @@ class Params:
 
     @classmethod
     def from_json(cls, text: str) -> "Params":
-        try:
-            data = json.loads(text, parse_float=Fraction, parse_int=Fraction)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"parameter file is not valid JSON: {err}")
+        data = read_exact_json(text, "parameter file")
         if not isinstance(data, dict):
             raise ValueError("parameter file must hold a JSON object")
         for key in ("alpha", "beta", "gamma"):
@@ -206,10 +228,24 @@ def validate_params(p: Params) -> list:
 def require_admissible(p: Params) -> None:
     """Raise InvalidParamsError when p violates the sign constraints.
     Callers check before p.close, since a candidate E may divide by a
-    parameter that an inadmissible p sets to zero."""
+    parameter that an inadmissible p sets to zero.  A p that
+    checked_once returned has passed, and is not checked again."""
+    if p._admissible:
+        return
     violations = validate_params(p)
     if violations:
         raise InvalidParamsError(violations)
+
+
+def checked_once(p: Params) -> Params:
+    """p after one sign check (require_admissible), marked so that the
+    library calls it then reaches (build_fields, simulate, ClosureEngine
+    and the scans that build one) do not check it again.  For an entry
+    point that must check before its own work on p, as the CLI must
+    before it reads a descriptor that divides by a gamma."""
+    require_admissible(p)
+    p._admissible = True
+    return p
 
 
 def demo_params() -> Params:
@@ -233,6 +269,11 @@ def build_fields(p: Params, e: Expr = E):
     when the sign constraints fail.
     """
     require_admissible(p)
+    return _fields(p, e)
+
+
+def _fields(p: Params, e: Expr):
+    """build_fields without the sign check."""
     x, y, z = var("x"), var("y"), var("z")
     f0 = VectorField(
         p.alpha1 + p.beta11 * x + p.beta12 * e,
@@ -355,7 +396,7 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
         raise ValueError("init must have three components")
     if not all(math.isfinite(v) for v in init):
         raise ValueError(f"init must be finite, got {tuple(init)}")
-    f0 = build_fields(p, p.close(e_expr))[0]
+    f0 = _fields(p, p.close(e_expr))[0]
     program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
 
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]

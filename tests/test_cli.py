@@ -2,15 +2,23 @@
 determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import liehouse.cli
+from liehouse import model
 from liehouse.cli import main
+from liehouse.homology import StructureMatrix
+from liehouse.model import Params
 
 GOOD = {
     "alpha": [1, 1.5, 0.5],
@@ -614,3 +622,70 @@ def test_shape_error_names_the_same_atom_under_any_hash_seed():
                               timeout=60)
         assert done.returncode == 2
         assert done.stderr == "error: shapes are unary (in x); found y\n"
+
+
+# -- number literals beyond the float range --------------------------------
+
+@pytest.mark.parametrize("literal", [
+    "1e99999999", "1e-99999999", "-1E+99999999", "1e400", "1e-400",
+    "2e-324", "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_literal_beyond_float_range_exit_two_at_once(tmp_path, capsys,
+                                                    command, literal):
+    # Fraction("1e99999999") alone would build 10**99999999
+    path = tmp_path / "in.json"
+    if command == "validate":
+        path.write_text(json.dumps(GOOD).replace("1.5", literal, 1))
+        argv = ["validate", "--params", str(path)]
+    else:
+        path.write_text(f"[[{literal}, 0, 0], [0, 1, 0], [0, 0, 1]]")
+        argv = ["homology", "--c", str(path)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: number {literal} is outside the float range\n"
+
+
+@pytest.mark.parametrize("literal,value", [
+    ("0.1", Fraction(1, 10)), ("-0.0", Fraction(0)),
+    ("0e-99999999", Fraction(0)), ("0.000e99999999", Fraction(0)),
+    ("5e-324", Fraction(5, 10 ** 324)), ("2.5e-310", Fraction(25, 10 ** 311)),
+    ("1.7976931348623157e308", Fraction(17976931348623157) * 10 ** 292),
+    ("123456789012345678901234567890",
+     Fraction(123456789012345678901234567890)),
+    ("-7", Fraction(-7)), ("3E+2", Fraction(300))])
+def test_literal_in_float_range_keeps_its_exact_value(literal, value):
+    c = StructureMatrix.from_json(f"[[{literal}, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    assert c.entry(1, 1) == value
+    text = json.dumps(GOOD).replace("1.5", literal, 1)
+    assert Params.from_json(text).alpha2 == value
+
+
+# -- one sign check per call -------------------------------------------------
+
+_GOLDEN_PARAMS = str(Path(__file__).parent / "golden" / "cli" / "params.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["bracket", "--e", "tanh:1,2,1,3,1"],
+    ["closure", "--e", "char:1,2,diag:tanh(x);x^2"],
+    ["check-e", "--e", "tanh:1,2,1,3,1", "--grid", "3,3"],
+    ["simulate", "--e", "tanh:1,2,1,3,1", "--steps", "3"],
+], ids=lambda argv: argv[0])
+def test_each_command_checks_the_signs_once(argv, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    real = model.validate_params
+    monkeypatch.setattr(model, "validate_params", counted)
+    monkeypatch.setattr(liehouse.cli, "validate_params", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv + ["--params", _GOLDEN_PARAMS])
+    assert len(calls) == 1

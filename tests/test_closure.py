@@ -571,6 +571,35 @@ def test_engine_builds_the_fields_once(monkeypatch):
     assert engine.f0 == build_fields(_GOLDEN, e)[0]
 
 
+# the E of every closure golden report
+_CLOSURE_GOLDEN_E = sorted({argv[argv.index("--e") + 1]
+                            for argv in CASES.values()
+                            if argv[0] == "closure"})
+
+
+def _det3(c):
+    return (c[0][0] * (c[1][1] * c[2][2] - c[1][2] * c[2][1])
+            - c[0][1] * (c[1][0] * c[2][2] - c[1][2] * c[2][0])
+            + c[0][2] * (c[1][0] * c[2][1] - c[1][1] * c[2][0]))
+
+
+@pytest.mark.parametrize("symbolic_params", [False, True],
+                         ids=["golden", "symbolic"])
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@pytest.mark.parametrize("descriptor", _CLOSURE_GOLDEN_E)
+def test_structure_matrix_is_singular_and_never_heisenberg(
+        descriptor, variant, symbolic_params):
+    """c_ij is the symmetric form of E's second partials (the mixed one
+    scaled by the variant) on the control directions (gamma_1i,
+    gamma_2i), three vectors in a plane.  So c = G^T H G has rank at
+    most 2 and det c is zero in the kernel's canonical form; and c is
+    never diagonal with a nonzero diagonal, so heisenberg is False."""
+    p = Params.symbolic() if symbolic_params else _GOLDEN
+    report = check_closure(p, descriptor_to_expr(p, descriptor), variant)
+    assert _det3(report.c) == as_expr(0)
+    assert report.heisenberg is False
+
+
 def assert_constancy_follows_from_delta3(p, descriptor, variant, seed=0):
     """constant_ok[i][j] equals the decision of both in-plane partials
     of Delta_ij, made on the engine's gradient with an rng of its own."""

@@ -3,6 +3,8 @@ matrices against an independent reference, exact ranks against floating
 rank and against sympy's exact rank, and the pinned diagonal-case
 profile.  sympy is a test dependency only."""
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liehouse.cli import main
 from liehouse.homology import (
     DIM, Algebra7, StructureMatrix, betti_numbers, boundary_matrix,
     build_algebra, chain_complex, euler_characteristic, homology_report,
@@ -285,8 +288,7 @@ def test_boundary_ranks_match_sympy(c):
 @given(rational_structures(), rationals.filter(bool))
 def test_homology_report_is_scale_invariant(c, lam):
     scaled = StructureMatrix.of([[lam * v for v in row] for row in c.rows])
-    assert homology_report(build_algebra(scaled)) \
-        == homology_report(build_algebra(c))
+    assert homology_report(scaled) == homology_report(c)
 
 
 # -- chain complex and homology -------------------------------------------
@@ -365,8 +367,102 @@ def test_betti_closed_form_depends_only_on_rank(rng, r):
 
 
 def test_homology_report_shape():
-    rep = homology_report(build_algebra(StructureMatrix.identity()))
+    rep = homology_report(StructureMatrix.identity())
     assert rep["heisenberg"] is True
     assert rep["betti"] == [1, 6, 14, 14, 14, 14, 6, 1]
     assert rep["euler"] == 0
     assert len(rep["ranks"]) == 8
+
+
+# -- closed form against the Koszul complex ---------------------------------
+
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli"
+HOMOLOGY_GOLDENS = {
+    "identity": [],
+    "rank2": ["--c", str(CLI_GOLDEN / "c_rank2.json")],
+    "rational": ["--c", str(CLI_GOLDEN / "c_rational.json")],
+}
+
+
+def _golden_matrix(name: str) -> StructureMatrix:
+    if name == "identity":
+        return StructureMatrix.identity()
+    return StructureMatrix.from_json(
+        (CLI_GOLDEN / f"c_{name}.json").read_text())
+
+
+def _koszul_report(c: StructureMatrix) -> dict:
+    """The report read off the eight boundary matrices."""
+    alg = build_algebra(c)
+    betti = betti_numbers(alg)
+    return {
+        "betti": betti,
+        "ranks": chain_complex(alg).ranks(),
+        "euler": sum((-1) ** p * b for p, b in enumerate(betti)),
+        "heisenberg": is_heisenberg(alg),
+    }
+
+
+def _corpus(seed: int = 2113) -> list:
+    """Integer, rational and rationally scaled c of every rank 0-3, with
+    the rank checked by sympy, plus diagonal ones (heisenberg True)."""
+    rng = random.Random(seed)
+    out = []
+    for r in range(4):
+        for kind in ("integer", "rational", "scaled"):
+            made = 0
+            while made < 4:
+                a = [[rng.randint(-3, 3) for _ in range(r)]
+                     for _ in range(3)]
+                b = [[rng.randint(-3, 3) for _ in range(3)]
+                     for _ in range(r)]
+                rows = [[sum(Fraction(a[i][t] * b[t][j]) for t in range(r))
+                         for j in range(3)] for i in range(3)]
+                if kind == "rational":
+                    rows = [[v / rng.choice((1, 2, 3, 7)) for v in row]
+                            for row in rows]
+                elif kind == "scaled":
+                    lam = Fraction(rng.choice((-5, -1, 2, 3)),
+                                   rng.choice((1, 4, 9)))
+                    rows = [[lam * v for v in row] for row in rows]
+                if sympy.Matrix(rows).rank() == r:
+                    out.append(StructureMatrix.of(rows))
+                    made += 1
+    for diag in ([1, 1, 1], [Fraction(-2, 3), 5, Fraction(1, 7)],
+                 [1, 0, 1], [0, 0, 0]):
+        out.append(StructureMatrix.of(
+            [[diag[i] if i == j else 0 for j in range(3)]
+             for i in range(3)]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_GOLDENS))
+def test_closed_form_report_equals_koszul_on_goldens(name):
+    c = _golden_matrix(name)
+    assert homology_report(c) == _koszul_report(c)
+
+
+def test_closed_form_report_equals_koszul_on_corpus():
+    corpus = _corpus()
+    reports = [homology_report(c) for c in corpus]
+    assert reports == [_koszul_report(c) for c in corpus]
+    # every rank, and both heisenberg values, are reached
+    assert {tuple(rep["betti"]) for rep in reports} \
+        == {tuple(_closed_form_betti(r)) for r in range(4)}
+    assert {rep["heisenberg"] for rep in reports} == {False, True}
+
+
+def test_homology_cli_builds_no_boundary_matrix(monkeypatch):
+    import liehouse.homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the homology command built the complex")
+
+    monkeypatch.setattr(liehouse.homology, "boundary_matrix", refuse)
+    monkeypatch.setattr(liehouse.homology, "chain_complex", refuse)
+    for name, extra in HOMOLOGY_GOLDENS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["homology"] + extra) == 0
+        assert out.getvalue().encode("utf-8") \
+            == (CLI_GOLDEN / f"homology_{name}.out").read_bytes()

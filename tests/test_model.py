@@ -142,6 +142,20 @@ def test_simulate_checks_signs_before_closing_e():
     assert any("gamma11" in v for v in err.value.violations)
 
 
+def test_simulate_checks_the_signs_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    real = model.validate_params
+    monkeypatch.setattr(model, "validate_params", counted)
+    simulate(demo_params(), X * Y, ControlSchedule.zero(), (0.0, 0.0, 0.0),
+             0.01, 2)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("text", [
     "x*y", "E", "tanh(x + 2*y)", "1/(1 + y)", "x^-2*tanh(1/(3 + x*y))", "7",
 ])
