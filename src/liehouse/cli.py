@@ -6,21 +6,21 @@ or stdout.  Every JSON report embeds the seed and, where Delta enters,
 the cross_variant in use; the simulate CSV carries neither.  Identical
 arguments give identical output bytes.
 
-Each call builds the parser of the subcommand it names and no other:
-building all six cost more than a homology run itself.  Help, usage
-and error text are the bytes of the full parser, which an argv that
-names no subcommand (none, -h, an unknown name) still builds.
+Each call builds the parser of the subcommand it names and no other,
+with the full parser's help, usage and error bytes (see build_parser).
 
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
 error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, inadmissible parameters
 outside validate, non-finite --dt, --tol, --grid or --init values, a
---grid of more than evapo.MAX_GRID_POINTS points, singular candidates,
-zero tests without a finite sample point), 3 internal error (a raw
-bracket printed by bracket left the B line, which the model structure
-rules out: ClosureDefectError; closure and check-e build no bracket and
-read no scalar off B, so they cannot raise it).
+--grid of more than evapo.MAX_GRID_POINTS points, --steps above
+model.MAX_STEPS, singular candidates, zero tests without a finite sample
+point), 3 internal error (a raw bracket printed by bracket left the B
+line, which the model structure rules out: ClosureDefectError; closure
+and check-e build no bracket and read no scalar off B, so they cannot
+raise it).  A check-e report exits 1 at every --tol below 1/3: c has
+rank at most 2, so it is nowhere within 1/3 of the identity.
 """
 
 from __future__ import annotations
@@ -134,11 +134,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     e = descriptor_to_expr(p, args.e) if args.e else None
     report = check_closure(p, e, cross_variant=args.cross,
                            seed=args.seed)
-    payload = {"command": "closure"}
-    payload.update(report.to_dict())
-    _emit_json(payload, args.out)
-    all_constant = all(all(row) for row in report.constant_ok)
-    return 0 if all_constant else 1
+    _emit_json({"command": "closure", **report.to_dict()}, args.out)
+    return 0 if all(map(all, report.constant_ok)) else 1
 
 
 def _cmd_check_e(args: argparse.Namespace) -> int:
@@ -149,9 +146,7 @@ def _cmd_check_e(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     report = verify_candidate(p, e, grid=grid, tol=args.tol,
                               cross_variant=args.cross, seed=args.seed)
-    payload = {"command": "check-e"}
-    payload.update(report.to_dict())
-    _emit_json(payload, args.out)
+    _emit_json({"command": "check-e", **report.to_dict()}, args.out)
     return 0 if report.passed else 1
 
 
@@ -161,14 +156,12 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     else:
         with open(args.c, "r", encoding="utf-8") as handle:
             c = StructureMatrix.from_json(handle.read())
-    report = homology_report(c)
-    payload = {
+    _emit_json({
         "command": "homology",
         "c": [[str(v) for v in row] for row in c.rows],
         "seed": args.seed,
-    }
-    payload.update(report)
-    _emit_json(payload, args.out)
+        **homology_report(c),
+    }, args.out)
     return 0
 
 

@@ -34,8 +34,7 @@ disagree.
 
 The span {X_i = f_i, Y_i = [f0, f_i], Z = B} has seven abstract
 generators; check_closure reports whether the scalars make the
-multiplication table that of a two-step nilpotent algebra and whether
-it is the Heisenberg-like diagonal case.
+multiplication table that of a two-step nilpotent algebra.
 """
 
 from __future__ import annotations
@@ -389,14 +388,13 @@ class ClosureReport:
     Reports compare equal when every field does."""
 
     def __init__(self, c: list, constant_ok: list, delta3_zero: dict,
-                 lambda_zero: dict, b_central: list, heisenberg: bool,
-                 cross_variant: str, seed: int):
+                 lambda_zero: dict, b_central: list, cross_variant: str,
+                 seed: int):
         self.c = c                      # 3x3 delta scalars (Expr)
         self.constant_ok = constant_ok  # 3x3: delta_ij is constant
         self.delta3_zero = delta3_zero  # (i,j,k) -> bool
         self.lambda_zero = lambda_zero  # (i,j,k) -> bool
         self.b_central = b_central      # per k: [[f0,f_k],B] vanishes
-        self.heisenberg = heisenberg
         self.cross_variant = cross_variant
         self.seed = seed
 
@@ -417,7 +415,6 @@ class ClosureReport:
             "lambda_zero": not lambda_fail,
             "lambda_failures": [list(k) for k in lambda_fail],
             "b_central": list(self.b_central),
-            "heisenberg": self.heisenberg,
             "cross_variant": self.cross_variant,
             "seed": self.seed,
         }
@@ -432,28 +429,36 @@ def check_closure(p: Params, e: Expr | None = None,
     from the single seed once transcendental or reciprocal atoms appear
     (see is_zero).  Each distinct condition is decided once: the engine
     returns one cached object per distinct Delta_ijk (10 of 27 under
-    bracket_1), c_ij (c_ij is c_ji) and s_k, and the scan keeps one
-    verdict per object.  Lambda_ijk is decided on its Leibniz pieces
-    (ClosureEngine.lam_pieces) by is_zero_products, once per unordered
-    (i, j), because the pieces are symmetric in i and j.  Pieces free of
-    transcendental and reciprocal atoms are multiplied out and decided
-    exactly, drawing nothing from the seed.  Otherwise the pieces are
-    sampled without being multiplied out, and only a sum they read as
-    zero is expanded and decided by is_zero, so a zero verdict is
-    always is_zero's on the expanded Lambda.  The pieces' points are
-    drawn over their own base atoms, so later draws from the seed may
-    differ from those of sampling the expanded sum alone.
+    bracket_1) and s_k, and the scan keeps one verdict per object.
+    Lambda_ijk is decided on its Leibniz pieces (ClosureEngine.lam_pieces)
+    by is_zero_products, once per unordered (i, j), because the pieces
+    are symmetric in i and j.  Pieces free of transcendental and
+    reciprocal atoms are multiplied out and decided exactly, drawing
+    nothing from the seed.  Otherwise the pieces are sampled without
+    being multiplied out, and only a sum they read as zero is expanded
+    and decided by is_zero, so a zero verdict is always is_zero's on the
+    expanded Lambda.  The pieces' points are drawn over their own base
+    atoms, so later draws from the seed may differ from those of
+    sampling the expanded sum alone.
 
     For admissible parameters f1 and f3 are independent in the (x, y)
     plane: gamma11 gamma23 - gamma13 gamma21 > 0 under the sign
     constraints, a nonzero polynomial for symbolic parameters.  So
     grad Delta_ij = 0 exactly when D_1 Delta_ij = D_3 Delta_ij = 0, and
     constant_ok[i][j] is delta3_zero[i, j, 1] and delta3_zero[i, j, 3],
-    not a decision of its own; heisenberg, needing every Delta_ijk to
-    vanish, needs no constancy term.  No pointwise rank of the seven
-    generators is reported: it is 3 at every state and for every E,
-    since [f0, f1] adds the constant z-component -beta32 gamma21 != 0
-    (E enters only the x and y components of f0).
+    not a decision of its own.
+
+    No zero decision is made on c.  c = G^T H G, with G the 2x3 gammas
+    and H the form of E's second partials (the mixed one scaled by the
+    variant), so det c = 0, and c is never diagonal with every c_ii
+    nonzero (the Heisenberg case): were f1, f2, f3 pairwise H-orthogonal
+    with nonzero H-norms, f2 = a f1 + b f3 would give a H(f1, f1) = 0 =
+    b H(f3, f3), so a = b = 0, but f2 != 0.
+
+    No pointwise rank of the seven generators is reported: it is 3 at
+    every state and for every E, since [f0, f1] adds the constant
+    z-component -beta32 gamma21 != 0 (E enters only the x and y
+    components of f0).
     """
     rng = random.Random(seed)
     engine = ClosureEngine(p, e, cross_variant)
@@ -480,14 +485,5 @@ def check_closure(p: Params, e: Expr | None = None,
 
     b_central = [zero(engine.b_drift_factor(k)) for k in _INDICES]
 
-    diag_nonzero = all(not zero(c[i][i]) for i in range(3))
-    offdiag_zero = all(zero(c[i][j])
-                       for i in range(3) for j in range(3) if i != j)
-    heisenberg = (all(delta3_zero.values())
-                  and all(lambda_zero.values())
-                  and offdiag_zero and diag_nonzero)
-
-    return ClosureReport(
-        c=c, constant_ok=constant_ok, delta3_zero=delta3_zero,
-        lambda_zero=lambda_zero, b_central=b_central,
-        heisenberg=heisenberg, cross_variant=cross_variant, seed=seed)
+    return ClosureReport(c, constant_ok, delta3_zero, lambda_zero,
+                         b_central, cross_variant, seed)

@@ -348,6 +348,12 @@ class Trajectory:
             self.to_csv(handle)
 
 
+# Every state is kept: 10**5 steps on the golden parameters take about
+# 1 s and 35-40 MB of peak memory, so the limit is some 10 s and 0.4 GB.
+# The longest golden, CI or benchmark run makes 2 000 steps.
+MAX_STEPS = 10**6
+
+
 def _segment_ends(times: Sequence[float], dt: float, steps: int) -> list:
     """For each control entry, the step at which it stops applying: the
     first n with n * dt >= the next entry's time, clamped to steps, and
@@ -378,8 +384,9 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     at the start of each step).
 
     The trajectory includes the initial state, so a run of n steps has
-    n + 1 samples.  A non-finite or unevaluable right-hand side stops
-    the run early and flags the trajectory as diverged.
+    n + 1 samples; n is at most MAX_STEPS.  A non-finite or unevaluable
+    right-hand side stops the run early and flags the trajectory as
+    diverged.
 
     The steps run as one loop per control segment, with the state and
     the stages in local floats.  Segment bounds are found once, before
@@ -392,6 +399,8 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"{steps} steps exceed the limit of {MAX_STEPS}")
     if len(init) != 3:
         raise ValueError("init must have three components")
     if not all(math.isfinite(v) for v in init):

@@ -246,6 +246,15 @@ def test_simulate_csv_shape(params_file, tmp_path):
     assert len(lines) == 102
 
 
+def test_simulate_steps_beyond_the_limit_exit_two(params_file, capsys):
+    assert main(["simulate", "--params", params_file, "--e",
+                 "tanh:1,2,1,3,1", "--steps", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: 1000001 steps exceed the limit of 1000000\n"
+
+
 def test_simulate_stdout_and_ctrl(params_file, tmp_path, capsys):
     ctrl = tmp_path / "ctrl.json"
     ctrl.write_text("[[0, 1, 0, 0], [0.5, 0, 0, 1]]")

@@ -173,7 +173,6 @@ def test_check_closure_constant_delta():
     rep = check_closure(demo_params(), X * Y)
     assert all(all(row) for row in rep.constant_ok)
     assert all(rep.delta3_zero.values())
-    assert not rep.heisenberg
     d = rep.to_dict()
     assert d["seed"] == 0
     assert d["cross_variant"] == "bracket_1"
@@ -200,7 +199,6 @@ def test_f1_f3_y1_span_every_point_for_any_e():
 def test_check_closure_nonconstant_delta():
     rep = check_closure(demo_params(), X ** 3 * Y ** 2)
     assert not all(all(row) for row in rep.constant_ok)
-    assert not rep.heisenberg
 
 
 def test_check_closure_variant_and_seed_recorded():
@@ -583,21 +581,66 @@ def _det3(c):
             + c[0][2] * (c[1][0] * c[2][1] - c[1][1] * c[2][0]))
 
 
+def assert_structure_theorem(p, e, variant, seed=0):
+    """c_ij is the symmetric form H of E's second partials (the mixed one
+    scaled by the variant) on the control directions (gamma_1i,
+    gamma_2i), three vectors in a plane.  So c = G^T H G has rank at most
+    2 and det c is zero in the kernel's canonical form; and c is never
+    diagonal with every c_ii nonzero (the Heisenberg case), decided here
+    by is_zero because check_closure no longer decides it."""
+    c = check_closure(p, e, variant, seed).c
+    assert _det3(c) == as_expr(0)
+    rng = random.Random(seed)
+    offdiag_zero = all(is_zero(c[i][j], rng)
+                       for i, j in product(range(3), repeat=2) if i != j)
+    diag_nonzero = not any(is_zero(c[i][i], rng) for i in range(3))
+    assert not (offdiag_zero and diag_nonzero)
+
+
 @pytest.mark.parametrize("symbolic_params", [False, True],
                          ids=["golden", "symbolic"])
 @pytest.mark.parametrize("variant", CROSS_VARIANTS)
 @pytest.mark.parametrize("descriptor", _CLOSURE_GOLDEN_E)
 def test_structure_matrix_is_singular_and_never_heisenberg(
         descriptor, variant, symbolic_params):
-    """c_ij is the symmetric form of E's second partials (the mixed one
-    scaled by the variant) on the control directions (gamma_1i,
-    gamma_2i), three vectors in a plane.  So c = G^T H G has rank at
-    most 2 and det c is zero in the kernel's canonical form; and c is
-    never diagonal with a nonzero diagonal, so heisenberg is False."""
     p = Params.symbolic() if symbolic_params else _GOLDEN
-    report = check_closure(p, descriptor_to_expr(p, descriptor), variant)
-    assert _det3(report.c) == as_expr(0)
-    assert report.heisenberg is False
+    assert_structure_theorem(p, descriptor_to_expr(p, descriptor), variant)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@pytest.mark.parametrize("draw", range(20))
+def test_structure_theorem_on_random_params_formal_e(draw, variant):
+    assert_structure_theorem(rand_params(random.Random(draw)), None,
+                             variant, draw)
+
+
+@settings(max_examples=25, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS),
+       st.integers(0, 2 ** 32 - 1))
+def test_structure_theorem_on_random_params_and_a_corpus(descriptor,
+                                                         variant, seed):
+    p = rand_params(random.Random(seed))
+    assert_structure_theorem(p, descriptor_to_expr(p, descriptor), variant,
+                             seed)
+
+
+@pytest.mark.parametrize("descriptor, variant", _CLOSURE_GOLDENS)
+def test_scan_makes_no_decision_on_c(descriptor, variant, monkeypatch):
+    """The theorem above decides the Heisenberg case, so the scan hands
+    is_zero no entry of c (ZERO, a shared singleton, aside)."""
+    decided = []  # holding the objects keeps their ids unique
+
+    def recording(expr, rng=None):
+        decided.append(expr)
+        return is_zero(expr, rng)
+
+    monkeypatch.setattr(closure, "is_zero", recording)
+    report = check_closure(_GOLDEN, descriptor_to_expr(_GOLDEN, descriptor),
+                           variant)
+    assert decided
+    ids = {id(expr) for expr in decided}
+    assert not [entry for row in report.c for entry in row
+                if entry is not symbolic.ZERO and id(entry) in ids]
 
 
 def assert_constancy_follows_from_delta3(p, descriptor, variant, seed=0):

@@ -1,6 +1,7 @@
 """Candidate evapotranspiration surfaces: closed families, descriptor
 parsing, and grid verification."""
 
+import json
 import math
 import random
 import sys
@@ -424,6 +425,29 @@ def test_lambda_pieces_measure_like_the_expansion_on_a_corpus(
         descriptor, variant):
     assert_lambda_matches_expansion(
         _GOLDEN, descriptor, variant, make_grid(3, 4, 0.1, 0.9, -0.7, 0.9))
+
+
+@pytest.mark.parametrize("name", _CHECK_E_GOLDENS)
+def test_check_e_fails_at_every_tol_below_a_third(name):
+    """c = G^T H G has rank at most 2, so at every grid point it lies at
+    max-entry distance at least 1/3 from the identity target."""
+    code, text = run_case(CASES[name] + ["--tol", "0.3"])
+    assert code == 1
+    assert json.loads(text)["passed"] is False
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS))
+def test_check_e_fails_below_a_third_on_a_corpus(descriptor, variant):
+    e = descriptor_to_expr(_GOLDEN, descriptor)
+    try:
+        report = verify_candidate(
+            _GOLDEN, e, grid=make_grid(3, 4, 0.1, 0.9, -0.7, 0.9), tol=0.3,
+            cross_variant=variant)
+    except PoleError:
+        return
+    assert report.passed is False
+    assert max(m.max_dev for m in report.delta.values()) >= 1 / 3 - 1e-9
 
 
 def test_verify_candidate_random_params(rng):

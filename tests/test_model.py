@@ -333,6 +333,24 @@ def test_bad_run_arguments_fail_before_symbolic_work(monkeypatch):
         simulate(p, e, ctrl, (0.0, math.inf, 0.0), 0.01, 10)
 
 
+def test_steps_beyond_the_limit_fail_before_symbolic_work(monkeypatch):
+    """Every state is kept, so more than MAX_STEPS steps is refused
+    before E is closed and compiled; MAX_STEPS itself gets that far."""
+    class Compiled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Compiled
+
+    monkeypatch.setattr(model, "compile_exprs", refuse)
+    p, e, ctrl = demo_params(), X * Y, ControlSchedule.zero()
+    with pytest.raises(ValueError) as err:
+        simulate(p, e, ctrl, (0.0, 0.0, 0.0), 0.01, model.MAX_STEPS + 1)
+    assert str(err.value) == "1000001 steps exceed the limit of 1000000"
+    with pytest.raises(Compiled):
+        simulate(p, e, ctrl, (0.0, 0.0, 0.0), 0.01, model.MAX_STEPS)
+
+
 # -- the stepper against the vector-form reference ----------------------
 
 def _reference_simulate(p, e_expr, ctrl, init, dt, steps):
