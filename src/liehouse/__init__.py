@@ -10,9 +10,8 @@ algebra over the rationals.
 """
 
 from .closure import (
-    CROSS_VARIANTS, ClosureDefectError, ClosureEngine, ClosureReport,
-    check_closure, delta_ij, delta_ij_formula, delta_ijk, delta_ijk_formula,
-    lambda_ijk, magic_tuples,
+    CROSS_VARIANTS, ClosureEngine, ClosureReport, check_closure,
+    delta_ij_formula, delta_ijk_formula, magic_tuples,
 )
 from .evapo import (
     CharacteristicFamily, ConditionMeasurement, PoleError, TanhConstants,
@@ -43,8 +42,8 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra7", "ChainComplex", "CharacteristicFamily", "ClosureDefectError",
-    "ClosureEngine", "ClosureReport", "ConditionMeasurement",
+    "Algebra7", "ChainComplex", "CharacteristicFamily", "ClosureEngine",
+    "ClosureReport", "ConditionMeasurement",
     "ControlSchedule", "CROSS_VARIANTS", "EvaluationError", "Expr",
     "InconsistentBindingError", "InvalidParamsError",
     "MissingAssignmentError", "Params", "ParseError", "PoleError", "Program",
@@ -52,12 +51,12 @@ __all__ = [
     "VectorField", "VerificationReport", "ZERO_FIELD", "apply_to_scalar",
     "betti_numbers", "boundary_matrix", "build_algebra", "build_fields",
     "chain_complex", "characteristic_line", "check_closure", "compile_exprs",
-    "cos", "default_grid", "delta_ij", "delta_ij_formula", "delta_ijk",
-    "delta_ijk_formula", "demo_params", "descriptor_to_expr",
+    "cos", "default_grid", "delta_ij_formula", "delta_ijk_formula",
+    "demo_params", "descriptor_to_expr",
     "differentiate", "e_characteristic", "e_tanh", "epartial",
     "euler_characteristic", "eval_numeric", "evaluate", "exact_div", "exp",
     "homology_report", "is_heisenberg", "is_zero", "jacobi_check",
-    "lambda_ijk", "lie_bracket", "magic_tuples", "make_grid", "param",
+    "lie_bracket", "magic_tuples", "make_grid", "param",
     "parse", "parse_descriptor", "proportional_to", "rank_exact", "simulate",
     "sin", "substitute", "tanh", "to_text", "validate_params", "var",
 ]

@@ -17,11 +17,13 @@ with atoms other than x, y and parameters, inadmissible parameters
 outside validate, non-finite --dt, --tol, --grid or --init values, a
 --grid of more than evapo.MAX_GRID_POINTS points, --steps above
 model.MAX_STEPS, singular candidates, zero tests without a finite sample
-point), 3 internal error (a raw bracket printed by bracket left the B
-line, which the model structure rules out: ClosureDefectError; closure
-and check-e build no bracket and read no scalar off B, so they cannot
-raise it).  A check-e report exits 1 at every --tol below 1/3: c has
-rank at most 2, so it is nowhere within 1/3 of the identity.
+point).  A check-e report exits 1 at every --tol below 1/3: c has rank
+at most 2, so it is nowhere within 1/3 of the identity.
+
+bracket prints the fields, Y_k = [f0, f_k] and Delta_ij (bracket_1) as
+the closure engine derives them, directional derivatives of E; the
+canonical form makes them the same expressions as the literal brackets
+read back along B.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import argparse
 import json
 import sys
 
-from .closure import (
-    CROSS_VARIANTS, ClosureDefectError, ClosureEngine, check_closure,
-)
+from .closure import CROSS_VARIANTS, ClosureEngine, check_closure
 from .evapo import (
     default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
@@ -123,8 +123,8 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         "controls": {str(i): field_text(engine.control(i))
                      for i in (1, 2, 3)},
         "b": field_text(engine.b),
-        "y": {str(k): field_text(engine.y_bracket(k)) for k in (1, 2, 3)},
-        "delta": {f"{i}{j}": to_text(engine.delta_bracket(i, j))
+        "y": {str(k): field_text(engine.y(k)) for k in (1, 2, 3)},
+        "delta": {f"{i}{j}": to_text(engine.delta(i, j))
                   for i in (1, 2, 3) for j in (1, 2, 3)},
         "cross_variant": "bracket_1",
         "seed": args.seed,
@@ -282,9 +282,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, SymbolicError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except ClosureDefectError as err:
-        sys.stderr.write(f"error: internal: {err}\n")
-        return 3
 
 
 if __name__ == "__main__":

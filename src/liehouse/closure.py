@@ -18,10 +18,10 @@ phi s_k) B.  The scan decides Lambda on those Leibniz pieces,
 sum_c (Y_k)_c d_c(Delta_ij) + s_k Delta_ij (symbolic.is_zero_products):
 multiplied out and decided exactly when every factor is polynomial,
 otherwise sampled factor by factor and multiplied out only when the
-samples read zero.  The literal brackets, read back along B by exact
-division, stay available as oracles (ClosureEngine.y_bracket,
-delta_bracket, delta3_bracket and lam_with; the bracket subcommand
-prints them), and closed-form coefficient expansions are provided
+samples read zero.  The canonical form makes each scalar the same Expr
+as the literal bracket read back along B by exact division, which the
+tests build with fields.lie_bracket and proportional_to as their
+oracle, and closed-form coefficient expansions are provided
 separately for cross-checking.  The closed form of Delta_ij circulates
 in two versions that differ in the mixed-partial coefficient: the
 bracket expansion gives (g_1i g_2j + g_2i g_1j) E_xy, while a doubled
@@ -42,24 +42,16 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .fields import (
-    VectorField, along, apply_to_scalar, gradient, lie_bracket,
-    proportional_to,
-)
+from .fields import VectorField, along, apply_to_scalar, gradient
 from .model import Params, build_fields
 from .symbolic import (
-    E, ZERO, Expr, add_all, differentiate, epartial, is_zero,
-    is_zero_products, substitute, to_text,
+    E, ZERO, Expr, differentiate, epartial, is_zero, is_zero_products,
+    substitute, to_text,
 )
 
 CROSS_VARIANTS = ("bracket_1", "paper_2")
 
 _INDICES = (1, 2, 3)
-
-
-class ClosureDefectError(RuntimeError):
-    """An iterated bracket left the B line; the model structure rules
-    this out, so reaching it signals an internal inconsistency."""
 
 
 def magic_tuples(k: int, n: int):
@@ -110,13 +102,13 @@ class ClosureEngine:
     b_drift_factor read that one gradient.  The fields are built once,
     with E = 0, so the drift read there is A + M s: f0 is it minus E B,
     and M f_k is D_k of it, a constant vector.  The canonical form makes
-    each derived Expr equal to the one read off the literal bracket
-    (y_bracket, delta_bracket, lam_with), which stay as oracles.
+    each derived Expr equal to the one read off the literal bracket, so
+    the bracket subcommand prints y and delta.
 
     grad(i, j) caches the three partials of delta(i, j) on the sorted
     pair, where delta is symmetric, so each distinct Delta_ij is
-    differentiated once per coordinate: delta3 and lam read that one
-    gradient.  The derivatives of single atoms are memoized on the
+    differentiated once per coordinate: delta3 and lam_pieces read that
+    one gradient.  The derivatives of single atoms are memoized on the
     atoms (see symbolic), so building an engine touches no kernel
     state."""
 
@@ -134,12 +126,10 @@ class ClosureEngine:
         self._e_free_drift = drift
         self._de: dict = {}
         self._y: dict = {}
-        self._y_bracket: dict = {}
         self._drift: dict = {}
         self._delta: dict = {}
         self._grad: dict = {}
         self._delta3: dict = {}
-        self._lam: dict = {}
         if cross_variant == "paper_2":
             self._e_xy = differentiate(self._e_grad[0], "y")
 
@@ -170,25 +160,6 @@ class ClosureEngine:
             self._y[k] = got
         return got
 
-    def y_bracket(self, k: int) -> VectorField:
-        """[f0, f_k] through the literal bracket, cached: what the
-        bracket subcommand prints, and the oracle for y."""
-        _check_index(k)
-        got = self._y_bracket.get(k)
-        if got is None:
-            got = lie_bracket(self.f0, self.control(k))
-            self._y_bracket[k] = got
-        return got
-
-    def _multiple_of_b(self, field: VectorField, what: str) -> Expr:
-        phi = proportional_to(field, self.b)
-        if phi is None:
-            raise ClosureDefectError(
-                f"{what} is not a multiple of B; components "
-                f"({to_text(field.cx)}, {to_text(field.cy)}, "
-                f"{to_text(field.cz)})")
-        return phi
-
     def _with_variant(self, i: int, j: int, scalar: Expr) -> Expr:
         """scalar, plus (g_1i g_2j + g_2i g_1j) E_xy under paper_2."""
         if self.cross_variant != "paper_2":
@@ -214,16 +185,6 @@ class ClosureEngine:
                 i, j, along(self.control(i), self.d_e(j)[1]))
             self._delta[key] = got
         return got
-
-    def delta_bracket(self, i: int, j: int) -> Expr:
-        """Same scalar read off the literal bracket [f_i, y_bracket(j)]
-        by exact division along B: what the bracket subcommand prints,
-        and the oracle for delta.  Raises ClosureDefectError when the
-        bracket leaves the B line."""
-        _check_index(i, j)
-        br = lie_bracket(self.control(i), self.y_bracket(j))
-        return self._with_variant(
-            i, j, self._multiple_of_b(br, f"[f_{i}, [f0, f_{j}]]"))
 
     def grad(self, i: int, j: int) -> tuple:
         """gradient(delta(i, j)), the partials in x, y and z, cached on
@@ -258,11 +219,6 @@ class ClosureEngine:
             self._delta3[key] = got
         return got
 
-    def delta3_bracket(self, i: int, j: int, k: int) -> Expr:
-        """Same scalar through the literal bracket route (test oracle)."""
-        br = lie_bracket(self.control(k), self.b.scaled(self.delta(i, j)))
-        return self._multiple_of_b(br, f"[f_{k}, Delta_{i}{j} B]")
-
     def lam_pieces(self, i: int, j: int, k: int) -> list:
         """The Leibniz pieces of [[f0, f_k], delta(i,j) B] along B, not
         multiplied out: the pairs ((Y_k)_c, d_c delta(i, j)) for c = x,
@@ -274,36 +230,19 @@ class ClosureEngine:
         pairs.append((self.b_drift_factor(k), self.delta(i, j)))
         return [(a, b) for a, b in pairs if a.terms and b.terms]
 
-    def lam(self, i: int, j: int, k: int) -> Expr:
-        """Scalar of [[f0, f_k], delta(i,j) B] along B, by the Leibniz
-        rule Y_k(phi) + phi s_k with phi = delta(i, j): the canonical
-        sum of the products of lam_pieces(i, j, k).  The closure scan
-        and check-e read lam_pieces instead; lam stays as a test
-        oracle.  Cached on the sorted (i, j), because delta(i, j)
-        is symmetric (see delta); k is the bracket's own direction and
-        stays in place."""
-        _check_index(i, j, k)
-        key = (i, j, k) if i <= j else (j, i, k)
-        got = self._lam.get(key)
-        if got is None:
-            got = add_all(a * b for a, b in self.lam_pieces(i, j, k))
-            self._lam[key] = got
-        return got
-
     def lam_with(self, k: int, phi: Expr) -> Expr:
-        """Scalar of [[f0, f_k], phi B] along B for any scalar phi,
-        through the literal brackets (test oracle for lam, and with
-        phi = 1 for b_drift_factor)."""
+        """Scalar of [[f0, f_k], phi B] along B for any scalar phi, by
+        the Leibniz rule Y_k(phi) + phi s_k; lam_with(k, 1) is s_k."""
         _check_index(k)
-        br = lie_bracket(self.y_bracket(k), self.b.scaled(phi))
-        return self._multiple_of_b(br, f"[[f0, f_{k}], phi B]")
+        return along(self.y(k), gradient(phi)) + \
+            phi * self.b_drift_factor(k)
 
     def b_drift_factor(self, k: int) -> Expr:
         """Scalar s_k with [[f0, f_k], B] = s_k B, -D_B D_k E read off
         the cached gradient of D_k E; a nonzero value means B fails to
         be central against the Y_k directions.  [Y_k, B] stays on the B
         line by construction (see ClosureEngine), which the Leibniz rule
-        in lam relies on."""
+        of lam_pieces and lam_with relies on."""
         _check_index(k)
         got = self._drift.get(k)
         if got is None:
@@ -318,14 +257,9 @@ def _bind_e(expr: Expr, e_binding: Expr | None) -> Expr:
     return substitute(expr, {E: e_binding})
 
 
-def delta_ij(p: Params, e: Expr | None, i: int, j: int) -> Expr:
-    """Second-order closure scalar D_i D_j E (ClosureEngine.delta)."""
-    return ClosureEngine(p, e).delta(i, j)
-
-
 def delta_ij_formula(p: Params, e: Expr | None, i: int, j: int,
                      cross_variant: str = "bracket_1") -> Expr:
-    """Coefficient expansion of delta_ij over the second partials of E,
+    """Coefficient expansion of Delta_ij over the second partials of E,
     the independent oracle for ClosureEngine.delta under either variant.
 
     bracket_1 puts (g_1i g_2j + g_2i g_1j) on E_xy, matching the
@@ -346,17 +280,12 @@ def delta_ij_formula(p: Params, e: Expr | None, i: int, j: int,
     return p.close(_bind_e(out, e))
 
 
-def delta_ijk(p: Params, e: Expr | None, i: int, j: int, k: int) -> Expr:
-    """Third-order closure scalar D_k D_i D_j E (ClosureEngine.delta3)."""
-    return ClosureEngine(p, e).delta3(i, j, k)
-
-
 def delta_ijk_formula(p: Params, e: Expr | None, i: int, j: int,
                       k: int) -> Expr:
-    """Coefficient expansion of delta_ijk: pure third partials carry the
-    products g_1i g_1j g_1k and g_2i g_2j g_2k, and the mixed partials
-    E_xxy / E_xyy sum gamma products over the magic rows with sums 4
-    and 5."""
+    """Coefficient expansion of Delta_ijk (ClosureEngine.delta3): pure
+    third partials carry the products g_1i g_1j g_1k and g_2i g_2j g_2k,
+    and the mixed partials E_xxy / E_xyy sum gamma products over the
+    magic rows with sums 4 and 5."""
     _check_index(i, j, k)
 
     def g(row, idx):
@@ -373,14 +302,6 @@ def delta_ijk_formula(p: Params, e: Expr | None, i: int, j: int,
            + magic_sum(5) * epartial(1, 2)
            + g(2, i) * g(2, j) * g(2, k) * epartial(0, 3))
     return p.close(_bind_e(out, e))
-
-
-def lambda_ijk(p: Params, e: Expr | None, i: int, j: int, k: int) -> Expr:
-    """Mixed closure scalar [[f0, f_k], Delta_ij E . B] = Lambda B, by
-    the Leibniz rule of ClosureEngine.lam.  No transcription of the long
-    coefficient expansion is kept; ClosureEngine.lam_with builds the
-    bracket itself."""
-    return ClosureEngine(p, e).lam(i, j, k)
 
 
 class ClosureReport:

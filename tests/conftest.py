@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liehouse import Params, VectorField, var
+from liehouse import Params, VectorField, proportional_to, var
 from liehouse.symbolic import ONE, ZERO
 
 X, Y, Z = var("x"), var("y"), var("z")
@@ -49,6 +49,15 @@ def rand_univariate(rng: random.Random, degree: int = 3):
 def rand_field(rng: random.Random, degree: int = 2) -> VectorField:
     return VectorField(rand_poly(rng, degree), rand_poly(rng, degree),
                        rand_poly(rng, degree))
+
+
+def along_b(field: VectorField, b: VectorField):
+    """The scalar phi with field = phi b, read off a literal bracket by
+    exact division: the oracle for the closure engine's scalars.  Fails
+    when the bracket leaves the b line."""
+    phi = proportional_to(field, b)
+    assert phi is not None, f"{field} is not a multiple of {b}"
+    return phi
 
 
 def _signed(rng: random.Random, sign: int) -> Fraction:

@@ -13,8 +13,7 @@ import scipy.linalg
 
 from liehouse.cli import main as cli_main
 from liehouse.closure import (
-    ClosureEngine, check_closure, delta_ij, delta_ij_formula, delta_ijk,
-    delta_ijk_formula,
+    ClosureEngine, check_closure, delta_ij_formula, delta_ijk_formula,
 )
 from liehouse.evapo import TanhConstants, e_tanh, verify_candidate
 from liehouse.fields import apply_to_scalar, lie_bracket, proportional_to
@@ -208,15 +207,15 @@ def test_criterion_7_solution_families(report):
         f3 = rand_univariate(rng, degree=5)
         two = e_characteristic(p, CharacteristicFamily(f1=f1, f2=f2,
                                                        i=i, j=j))
-        if delta_ij(p, two, i, j) != as_expr(0):
+        if ClosureEngine(p, two).delta(i, j) != as_expr(0):
             problems.append(f"draw {n}: two-shape delta_{i}{j} != 0")
         with_diag = e_characteristic(p, CharacteristicFamily(
             f1=f1, f2=f2, i=i, j=j, diagonal_term=True))
-        if delta_ij(p, with_diag, i, j) != as_expr(1):
+        if ClosureEngine(p, with_diag).delta(i, j) != as_expr(1):
             problems.append(f"draw {n}: diagonal term misses 1")
         three = e_characteristic(p, CharacteristicFamily(
             f1=f1, f2=f2, f3=f3, i=i, j=j, k=k))
-        if delta_ijk(p, three, i, j, k) != as_expr(0):
+        if ClosureEngine(p, three).delta3(i, j, k) != as_expr(0):
             problems.append(f"draw {n}: three-shape delta_{i}{j}{k} != 0")
         if problems:
             break

@@ -657,18 +657,6 @@ def test_check_e_and_simulate_leave_numpy_unloaded(params_file, tmp_path):
     assert done.stdout == "done\n"
 
 
-def test_closure_defect_is_internal_error_exit_three(params_file, capsys,
-                                                     monkeypatch):
-    monkeypatch.setattr("liehouse.closure.proportional_to",
-                        lambda f, ref: None)
-    assert main(["bracket", "--params", params_file, "--e", "expr:x*y"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: internal: ")
-    assert "is not a multiple of B" in captured.err
-    assert captured.err.count("\n") == 1
-
-
 @pytest.mark.parametrize("expr,message", [
     ("0^-1", "position 4: division by zero"),
     ("(x-x)^-2", "position 8: division by zero"),

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from liehouse import closure, fields, model
 from liehouse.closure import (
-    CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij, delta_ij_formula,
-    delta_ijk, delta_ijk_formula, lambda_ijk, magic_tuples,
+    CROSS_VARIANTS, ClosureEngine, check_closure, delta_ij_formula,
+    delta_ijk_formula, magic_tuples,
 )
 from liehouse.evapo import (
     CharacteristicFamily, TanhConstants, descriptor_to_expr,
@@ -28,16 +28,30 @@ from liehouse.model import (
 )
 from liehouse import symbolic
 from liehouse.symbolic import (
-    as_expr, differentiate, epartial, is_zero, is_zero_products,
+    add_all, as_expr, differentiate, epartial, is_zero, is_zero_products,
     param, substitute, tanh, to_text, var,
 )
 
-from conftest import rand_field, rand_params, rand_poly, rand_univariate
+from conftest import (
+    along_b, rand_field, rand_params, rand_poly, rand_univariate,
+)
 from test_golden_reports import CASES, EXIT_CODES, HERE, PARAMS, run_case
 
 X, Y = var("x"), var("y")
 E = epartial(0, 0)
 IDX = (1, 2, 3)
+
+
+def delta3_literal(engine, i, j, k):
+    """Delta_ijk read off the literal bracket [f_k, Delta_ij B]."""
+    scaled = engine.b.scaled(engine.delta(i, j))
+    return along_b(lie_bracket(engine.control(k), scaled), engine.b)
+
+
+def lam_literal(engine, k, phi):
+    """The scalar of [[f0, f_k], phi B] read off the literal brackets."""
+    y_k = lie_bracket(engine.f0, engine.control(k))
+    return along_b(lie_bracket(y_k, engine.b.scaled(phi)), engine.b)
 
 
 def test_magic_tuples_enumerates_sums():
@@ -63,7 +77,7 @@ def test_delta_oracle_equals_formula_formal_e():
     p = demo_params()
     for i in IDX:
         for j in IDX:
-            assert delta_ij(p, None, i, j) == \
+            assert ClosureEngine(p).delta(i, j) == \
                 delta_ij_formula(p, None, i, j, "bracket_1")
 
 
@@ -71,7 +85,7 @@ def test_delta_oracle_equals_formula_symbolic_params():
     p = Params.symbolic()
     for i in IDX:
         for j in IDX:
-            assert delta_ij(p, None, i, j) == \
+            assert ClosureEngine(p).delta(i, j) == \
                 delta_ij_formula(p, None, i, j, "bracket_1")
 
 
@@ -79,7 +93,8 @@ def test_delta_symmetric_in_indices():
     p = demo_params()
     for i in IDX:
         for j in IDX:
-            assert delta_ij(p, None, i, j) == delta_ij(p, None, j, i)
+            assert ClosureEngine(p).delta(i, j) == \
+                ClosureEngine(p).delta(j, i)
 
 
 def test_paper_variant_differs_by_cross_term():
@@ -95,7 +110,7 @@ def test_paper_variant_differs_by_cross_term():
 
 def test_delta_values_on_demo_params():
     p = demo_params()
-    d11 = delta_ij(p, None, 1, 1)
+    d11 = ClosureEngine(p).delta(1, 1)
     assert d11 == epartial(2, 0) * 4 - epartial(1, 1) * 4 + epartial(0, 2)
 
 
@@ -104,7 +119,7 @@ def test_third_order_oracle_equals_magic_formula():
     for i in IDX:
         for j in IDX:
             for k in IDX:
-                assert delta_ijk(p, None, i, j, k) == \
+                assert ClosureEngine(p).delta3(i, j, k) == \
                     delta_ijk_formula(p, None, i, j, k)
 
 
@@ -114,7 +129,7 @@ def test_third_order_dual_routes_agree():
         for j in IDX:
             for k in IDX:
                 assert engine.delta3(i, j, k) == \
-                    engine.delta3_bracket(i, j, k)
+                    delta3_literal(engine, i, j, k)
 
 
 def test_third_order_is_control_derivative_of_delta():
@@ -162,11 +177,10 @@ def test_lambda_factors_through_bracket():
     e = X * X * Y
     engine = ClosureEngine(p, e)
     for i, j, k in ((1, 1, 1), (1, 2, 3), (3, 2, 1)):
-        lam = engine.lam(i, j, k)
+        lam = engine.lam_with(k, engine.delta(i, j))
         rebuilt = engine.b.scaled(lam)
         direct = lie_bracket(engine.y(k), engine.b.scaled(engine.delta(i, j)))
         assert (rebuilt - direct).is_zero_field()
-        assert lambda_ijk(p, e, i, j, k) == lam
 
 
 def test_check_closure_constant_delta():
@@ -215,7 +229,7 @@ def test_formula_agreement_random_params(rng):
         p = rand_params(rng)
         for i in IDX:
             for j in IDX:
-                assert delta_ij(p, None, i, j) == \
+                assert ClosureEngine(p).delta(i, j) == \
                     delta_ij_formula(p, None, i, j, "bracket_1")
 
 
@@ -223,8 +237,8 @@ def test_delta_with_bound_e_matches_substitution(rng):
     p = demo_params()
     e = rand_poly(rng, degree=3, vars3=False)
     for i, j in ((1, 1), (1, 2), (2, 3)):
-        formal = delta_ij(p, None, i, j)
-        bound = delta_ij(p, e, i, j)
+        formal = ClosureEngine(p).delta(i, j)
+        bound = ClosureEngine(p, e).delta(i, j)
         assert bound == substitute(formal, {E: e})
 
 
@@ -241,7 +255,8 @@ def test_engine_variant_routes_every_operator():
         assert engine.delta(i, j) == cij
         assert engine.delta3(i, j, 2) == \
             apply_to_scalar(engine.control(2), cij)
-        assert engine.lam(i, j, 3) == engine.lam_with(3, cij)
+        assert engine.lam_with(3, engine.delta(i, j)) == \
+            lam_literal(engine, 3, cij)
     with pytest.raises(ValueError):
         ClosureEngine(p, e, "paper_3")
 
@@ -286,10 +301,12 @@ def test_cached_leibniz_operators_match_bracket_oracles(case):
             assert engine.delta(i, j) == uncached
             assert engine.delta(i, j) == engine.delta(j, i)
             for k in IDX:
-                assert engine.lam(i, j, k) == \
-                    engine.lam_with(k, engine.delta(i, j))
+                literal = lam_literal(engine, k, engine.delta(i, j))
+                assert engine.lam_with(k, engine.delta(i, j)) == literal
+                assert add_all(a * b for a, b in engine.lam_pieces(i, j, k)) \
+                    == literal
                 assert engine.delta3(i, j, k) == \
-                    engine.delta3_bracket(i, j, k)
+                    delta3_literal(engine, i, j, k)
 
 
 @settings(max_examples=12, deadline=None)
@@ -384,16 +401,17 @@ _CLOSURE_GOLDENS = sorted({
 
 
 def assert_lambda_routes_agree(p, descriptor, variant, seed=0):
-    """The verdict on lam_pieces equals is_zero of the expanded lam for
-    every (i, j, k); each route draws from its own rng, because the
-    pieces' base atoms can differ from the expanded sum's."""
+    """The verdict on lam_pieces equals is_zero of the expanded Lambda
+    (lam_with) for every (i, j, k); each route draws from its own rng,
+    because the pieces' base atoms can differ from the expanded sum's."""
     engine = ClosureEngine(p, descriptor_to_expr(p, descriptor), variant)
     on_pieces, expanded = random.Random(seed), random.Random(seed)
-    for ijk in product(IDX, repeat=3):
-        pieces = engine.lam_pieces(*ijk)
+    for i, j, k in product(IDX, repeat=3):
+        pieces = engine.lam_pieces(i, j, k)
         assert all(a.terms and b.terms for a, b in pieces)
+        lam = engine.lam_with(k, engine.delta(i, j))
         assert is_zero_products(pieces, on_pieces) == \
-            is_zero(engine.lam(*ijk), expanded), (descriptor, variant, ijk)
+            is_zero(lam, expanded), (descriptor, variant, i, j, k)
 
 
 @pytest.mark.parametrize("descriptor, variant", _CLOSURE_GOLDENS + [
@@ -440,7 +458,7 @@ def test_scan_decides_transcendental_lambda_unexpanded(name, monkeypatch):
     def expanded(*args):
         raise AssertionError("the closure scan expanded Lambda")
 
-    monkeypatch.setattr(ClosureEngine, "lam", expanded)
+    monkeypatch.setattr(ClosureEngine, "lam_with", expanded)
     code, text = run_case(CASES[name])
     assert code == 1
     assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
@@ -477,20 +495,16 @@ def assert_scalars_match_brackets(p, descriptor, variant):
         differentiate(E if e is None else p.close(e), "x"), "y")
     for k in IDX:
         y_k = lie_bracket(engine.f0, engine.control(k))
-        assert engine.y(k) == y_k == engine.y_bracket(k)
-        s_k = proportional_to(lie_bracket(y_k, b), b)
-        assert s_k is not None
+        assert engine.y(k) == y_k
+        s_k = along_b(lie_bracket(y_k, b), b)
         assert engine.b_drift_factor(k) == s_k == \
             engine.lam_with(k, as_expr(1))
     for i, j in product(IDX, repeat=2):
         fi, fj = engine.control(i), engine.control(j)
-        dij = proportional_to(
-            lie_bracket(fi, lie_bracket(engine.f0, fj)), b)
-        assert dij is not None
+        dij = along_b(lie_bracket(fi, lie_bracket(engine.f0, fj)), b)
         if variant == "paper_2":
             dij = dij + (fi.cx * fj.cy + fi.cy * fj.cx) * e_xy
-        assert engine.delta(i, j) == dij == engine.delta_bracket(i, j), \
-            (descriptor, variant, i, j)
+        assert engine.delta(i, j) == dij, (descriptor, variant, i, j)
 
 
 @pytest.mark.parametrize("variant", CROSS_VARIANTS)
@@ -512,6 +526,65 @@ def test_scalars_match_brackets_on_a_corpus(descriptor, variant):
     assert_scalars_match_brackets(_GOLDEN, descriptor, variant)
 
 
+def assert_bracket_report_is_literal(descriptor):
+    """Every field, y and delta the bracket subcommand prints is the text
+    of the literal one: the fields of build_fields, [f0, f_k], and
+    [f_i, [f0, f_j]] read back along B."""
+    argv = ["bracket", "--params", PARAMS]
+    e = E
+    if descriptor:
+        argv += ["--e", descriptor]
+        e = _GOLDEN.close(descriptor_to_expr(_GOLDEN, descriptor))
+    code, text = run_case(argv)
+    assert code == 0
+    report = json.loads(text)
+    f0, f1, f2, f3, b = build_fields(_GOLDEN, e)
+    controls = (f1, f2, f3)
+
+    def field_text(f):
+        return [to_text(c) for c in f.components()]
+
+    assert report["f0"] == field_text(f0)
+    assert report["b"] == field_text(b)
+    for k in IDX:
+        assert report["controls"][str(k)] == field_text(controls[k - 1])
+        assert report["y"][str(k)] == \
+            field_text(lie_bracket(f0, controls[k - 1])), (descriptor, k)
+    for i, j in product(IDX, repeat=2):
+        y_j = lie_bracket(f0, controls[j - 1])
+        dij = along_b(lie_bracket(controls[i - 1], y_j), b)
+        assert report["delta"][f"{i}{j}"] == to_text(dij), (descriptor, i, j)
+
+
+@pytest.mark.parametrize("descriptor", _GOLDEN_INPUTS)
+def test_bracket_report_is_literal_on_goldens(descriptor):
+    assert_bracket_report_is_literal(descriptor)
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors())
+def test_bracket_report_is_literal_on_a_corpus(descriptor):
+    assert_bracket_report_is_literal(descriptor)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(_GOLDEN_INPUTS) | descriptors(),
+       st.sampled_from(CROSS_VARIANTS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("poly", "tanh", "product")))
+def test_lam_with_is_the_literal_bracket(descriptor, variant, seed, shape):
+    rng = random.Random(seed)
+    e = descriptor_to_expr(_GOLDEN, descriptor) if descriptor else None
+    engine = ClosureEngine(_GOLDEN, e, variant)
+    phi = rand_poly(rng, degree=3)
+    if shape == "tanh":
+        phi = tanh(phi)
+    elif shape == "product":
+        phi = phi * tanh(rand_poly(rng, degree=2))
+    for k in IDX:
+        assert engine.lam_with(k, phi) == lam_literal(engine, k, phi), \
+            (descriptor, variant, shape, k)
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name, argv in CASES.items() if argv[0] in ("closure",
                                                           "check-e")))
@@ -519,10 +592,11 @@ def test_scan_and_check_e_build_no_bracket(name, monkeypatch):
     def literal(*args):
         raise AssertionError("a bracket was built or divided by B")
 
+    # closure imports none of them; a binding it gained would be patched
     for target in (closure, fields):
-        for fn in ("lie_bracket", "proportional_to"):
-            monkeypatch.setattr(target, fn, literal)
-    monkeypatch.setattr(fields, "exact_div", literal)
+        for fn in ("lie_bracket", "proportional_to", "exact_div"):
+            if hasattr(target, fn):
+                monkeypatch.setattr(target, fn, literal)
     code, text = run_case(CASES[name])
     assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]

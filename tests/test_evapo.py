@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liehouse.closure import CROSS_VARIANTS, ClosureEngine, delta_ij, delta_ijk
+from liehouse.closure import CROSS_VARIANTS, ClosureEngine
 from liehouse.evapo import (
     MAX_GRID_POINTS, CharacteristicFamily, PoleError, TanhConstants,
     characteristic_line, default_grid, descriptor_to_expr, e_characteristic,
@@ -57,7 +57,7 @@ def test_tanh_family_kills_its_own_delta_exactly():
     p = demo_params()
     for i in (1, 2, 3):
         e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), i))
-        assert delta_ij(p, e, i, i) == as_expr(0)
+        assert ClosureEngine(p, e).delta(i, i) == as_expr(0)
 
 
 def test_tanh_family_argument_scaling_invariance():
@@ -99,8 +99,8 @@ def test_two_shape_family_kills_cross_delta(rng):
     f2 = rand_univariate(rng, degree=5)
     fam = CharacteristicFamily(f1=f1, f2=f2, i=1, j=2)
     e = e_characteristic(p, fam)
-    assert delta_ij(p, e, 1, 2) == as_expr(0)
-    assert delta_ij(p, e, 2, 1) == as_expr(0)
+    assert ClosureEngine(p, e).delta(1, 2) == as_expr(0)
+    assert ClosureEngine(p, e).delta(2, 1) == as_expr(0)
 
 
 def test_diagonal_term_normalizes_delta_to_one(rng):
@@ -109,7 +109,7 @@ def test_diagonal_term_normalizes_delta_to_one(rng):
                                f2=rand_univariate(rng),
                                i=1, j=2, diagonal_term=True)
     e = e_characteristic(p, fam)
-    assert delta_ij(p, e, 1, 2) == as_expr(1)
+    assert ClosureEngine(p, e).delta(1, 2) == as_expr(1)
 
 
 def test_three_shape_family_kills_third_order(rng):
@@ -119,7 +119,7 @@ def test_three_shape_family_kills_third_order(rng):
                                f3=rand_univariate(rng, degree=5),
                                i=1, j=2, k=3)
     e = e_characteristic(p, fam)
-    assert delta_ijk(p, e, 1, 2, 3) == as_expr(0)
+    assert ClosureEngine(p, e).delta3(1, 2, 3) == as_expr(0)
 
 
 def test_family_validation():
@@ -295,7 +295,7 @@ def test_batch_measurement_equals_per_condition_walk(rng):
     e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 2))
     engine = ClosureEngine(p, e)
     exprs = [engine.delta(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    exprs += [engine.lam(1, 2, k) for k in (1, 2, 3)]
+    exprs += [engine.lam_with(k, engine.delta(1, 2)) for k in (1, 2, 3)]
     exprs += [tuple(engine.lam_pieces(1, 2, k)) for k in (1, 2, 3)]
     targets = [1.0 if i == j else 0.0 for i in (1, 2, 3) for j in (1, 2, 3)]
     targets += [0.0] * 6
@@ -341,7 +341,7 @@ def test_check_e_never_expands_lambda(name, monkeypatch):
     def expanded(*args):
         raise AssertionError("check-e expanded Lambda")
 
-    monkeypatch.setattr(ClosureEngine, "lam", expanded)
+    monkeypatch.setattr(ClosureEngine, "lam_with", expanded)
     code, text = run_case(CASES[name])
     assert code == 1
     assert text.encode("utf-8") == (HERE / f"{name}.out").read_bytes()
@@ -373,6 +373,10 @@ def assert_lambda_matches_expansion(p, descriptor, variant, grid):
     magnitude of the expansion or factor product over the grid."""
     e = descriptor_to_expr(p, descriptor)
     engine = ClosureEngine(p, e, variant)
+
+    def lam(i, j, k):
+        return engine.lam_with(k, engine.delta(i, j))
+
     try:
         report = verify_candidate(p, e, grid=grid, cross_variant=variant)
     except PoleError as err:
@@ -383,7 +387,7 @@ def assert_lambda_matches_expansion(p, descriptor, variant, grid):
                 vals = [_walk(engine.delta(i, j), gx, gy)
                         for i, j in product((1, 2, 3), repeat=2)]
                 vals += [_walk(f(i, j, k), gx, gy)
-                         for f in (engine.delta3, engine.lam)
+                         for f in (engine.delta3, lam)
                          for i, j, k in product((1, 2, 3), repeat=3)]
             except (ZeroDivisionError, OverflowError, ValueError):
                 vals = [math.nan]
@@ -395,7 +399,7 @@ def assert_lambda_matches_expansion(p, descriptor, variant, grid):
     for ijk in product((1, 2, 3), repeat=3):
         want = scale = 0.0
         for gx, gy in grid:
-            value, terms = _eval_terms(engine.lam(*ijk),
+            value, terms = _eval_terms(lam(*ijk),
                                        {_as_atom(X): gx, _as_atom(Y): gy})
             want = max(want, abs(value))
             scale = max(scale, terms, *(
