@@ -23,9 +23,8 @@ from .fields import (
     proportional_to,
 )
 from .homology import (
-    Algebra7, ChainComplex, StructureMatrix, betti_numbers, boundary_matrix,
-    build_algebra, chain_complex, euler_characteristic, homology_report,
-    is_heisenberg, jacobi_check, rank_exact,
+    ChainComplex, StructureMatrix, betti_numbers, boundary_matrix,
+    chain_complex, euler_characteristic, homology_report, rank_exact,
 )
 from .model import (
     ControlSchedule, InvalidParamsError, Params, Trajectory, build_fields,
@@ -42,21 +41,21 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra7", "ChainComplex", "CharacteristicFamily", "ClosureEngine",
+    "ChainComplex", "CharacteristicFamily", "ClosureEngine",
     "ClosureReport", "ConditionMeasurement",
     "ControlSchedule", "CROSS_VARIANTS", "EvaluationError", "Expr",
     "InconsistentBindingError", "InvalidParamsError",
     "MissingAssignmentError", "Params", "ParseError", "PoleError", "Program",
     "StructureMatrix", "SymbolicError", "TanhConstants", "Trajectory",
     "VectorField", "VerificationReport", "ZERO_FIELD", "apply_to_scalar",
-    "betti_numbers", "boundary_matrix", "build_algebra", "build_fields",
+    "betti_numbers", "boundary_matrix", "build_fields",
     "chain_complex", "characteristic_line", "check_closure", "compile_exprs",
     "cos", "default_grid", "delta_ij_formula", "delta_ijk_formula",
     "demo_params", "descriptor_to_expr",
     "differentiate", "e_characteristic", "e_tanh", "epartial",
     "euler_characteristic", "eval_numeric", "evaluate", "exact_div", "exp",
-    "homology_report", "is_heisenberg", "is_zero", "jacobi_check",
-    "lie_bracket", "magic_tuples", "make_grid", "param",
-    "parse", "parse_descriptor", "proportional_to", "rank_exact", "simulate",
-    "sin", "substitute", "tanh", "to_text", "validate_params", "var",
+    "homology_report", "is_zero", "lie_bracket", "magic_tuples", "make_grid",
+    "param", "parse", "parse_descriptor", "proportional_to", "rank_exact",
+    "simulate", "sin", "substitute", "tanh", "to_text", "validate_params",
+    "var", "verify_candidate",
 ]

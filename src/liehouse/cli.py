@@ -149,8 +149,9 @@ def _cmd_check_e(args: argparse.Namespace) -> int:
     e = descriptor_to_expr(p, args.e)
     grid = _parse_grid(args.grid)
     report = verify_candidate(p, e, grid=grid, tol=args.tol,
-                              cross_variant=args.cross, seed=args.seed)
-    _emit_json({"command": "check-e", **report.to_dict()}, args.out)
+                              cross_variant=args.cross)
+    _emit_json({"command": "check-e", "seed": args.seed, **report.to_dict()},
+               args.out)
     return 0 if report.passed else 1
 
 

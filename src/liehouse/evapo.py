@@ -288,16 +288,14 @@ class VerificationReport:
     Reports compare equal when every field does."""
 
     def __init__(self, delta: dict, delta3: dict, lam: dict, tol: float,
-                 grid_size: int, cross_variant: str, seed: int,
-                 passed: bool, tension_indices: list,
-                 heisenberg_tension: bool):
+                 grid_size: int, cross_variant: str, passed: bool,
+                 tension_indices: list, heisenberg_tension: bool):
         self.delta = delta    # (i, j) -> ConditionMeasurement, target delta_ij
         self.delta3 = delta3  # (i, j, k) -> ConditionMeasurement, target 0
         self.lam = lam        # (i, j, k) -> ConditionMeasurement, target 0
         self.tol = tol
         self.grid_size = grid_size
         self.cross_variant = cross_variant
-        self.seed = seed
         self.passed = passed
         # diagonal i with measured |Delta_ii| <= tol
         self.tension_indices = tension_indices
@@ -319,7 +317,6 @@ class VerificationReport:
             "tol": self.tol,
             "grid_size": self.grid_size,
             "cross_variant": self.cross_variant,
-            "seed": self.seed,
             "passed": self.passed,
             "tension_indices": list(self.tension_indices),
             "heisenberg_tension": self.heisenberg_tension,
@@ -396,8 +393,8 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
 
 
 def verify_candidate(p: Params, e: Expr, grid: Sequence | None = None,
-                     tol: float = 1e-9, cross_variant: str = "bracket_1",
-                     seed: int = 0) -> VerificationReport:
+                     tol: float = 1e-9, cross_variant: str = "bracket_1"
+                     ) -> VerificationReport:
     """Measure Delta_ij against its Kronecker target and Delta_ijk,
     Lambda_ijk against zero, pointwise over the grid.
 
@@ -408,10 +405,9 @@ def verify_candidate(p: Params, e: Expr, grid: Sequence | None = None,
     measured on its Leibniz pieces (ClosureEngine.lam_pieces), never
     multiplied out: at each point it is the left-to-right sum of its
     factor products, which may differ from the expanded sum in the last
-    bits.  The seed is recorded for provenance; the grid sweep itself
-    is deterministic.  A pole of the candidate (or its derivatives) on
-    the grid raises PoleError naming the first singular grid point in
-    grid order.
+    bits.  The grid sweep is deterministic, so it takes no seed.  A
+    pole of the candidate (or its derivatives) on the grid raises
+    PoleError naming the first singular grid point in grid order.
     """
     if grid is None:
         grid = default_grid()
@@ -445,6 +441,5 @@ def verify_candidate(p: Params, e: Expr, grid: Sequence | None = None,
     tension = [i for i in _INDICES if delta_m[(i, i)].max_abs <= tol]
     return VerificationReport(
         delta=delta_m, delta3=delta3_m, lam=lam_m, tol=tol,
-        grid_size=len(grid), cross_variant=cross_variant, seed=seed,
-        passed=passed, tension_indices=tension,
-        heisenberg_tension=bool(tension))
+        grid_size=len(grid), cross_variant=cross_variant, passed=passed,
+        tension_indices=tension, heisenberg_tension=bool(tension))

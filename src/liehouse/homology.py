@@ -2,12 +2,14 @@
 
 The abstract span of {X_1, X_2, X_3, Y_1, Y_2, Y_3, Z} with the only
 nonzero brackets [X_i, Y_j] = c_ij Z is two-step nilpotent for any
-structure matrix c.  Put the form (X_i, Y_j) -> c_ij into Darboux form:
-the algebra is the Heisenberg algebra h_{2r+1} plus an abelian algebra
-of dimension 6 - 2r, where r = rank c.  So its Lie-algebra homology with
-trivial real coefficients depends on r alone, and only four reports
-exist.  homology_report takes that route: r from rank_exact on the 3x3
-matrix, the Betti numbers from the Kunneth product of those of h_{2r+1}
+structure matrix c, so c is the whole algebra and every function here
+takes the StructureMatrix.  Put the form (X_i, Y_j) -> c_ij into Darboux
+form: the algebra is the Heisenberg algebra h_{2r+1} plus an abelian
+algebra of dimension 6 - 2r, where r = rank c.  So its Lie-algebra
+homology with trivial real coefficients depends on r alone, and only
+four reports exist; the algebra is h_7 exactly when r = 3.
+homology_report takes that route: r from rank_exact on the 3x3 matrix,
+the Betti numbers from the Kunneth product of those of h_{2r+1}
 (Santharoubane, "Cohomology of Heisenberg Lie algebras", Proc. AMS 87,
 1983),
 
@@ -20,22 +22,25 @@ chain dimensions to zero.
 
 The Koszul complex on the exterior algebra stays as the oracle that
 tests compare the closed form against (chain_complex, betti_numbers,
-euler_characteristic):
+euler_characteristic).  With basis e_0..e_6 = X_1..X_3, Y_1..Y_3, Z,
 
     d_p(e_{s_1} ^ ... ^ e_{s_p})
         = sum over r < s of (-1)^(r+s)
           [e_{s_r}, e_{s_s}] ^ (the wedge with slots r, s removed),
 
-with the bracket wedged in front, so sorting it into place costs one
-sign per smaller remaining index.  Chains are ordered by lexicographic
-index subsets.  All matrix work is exact: an entry with denominator 1
-is an int (symbolic._coef), so an integer c builds no Fraction, and
-ranks come from gcd-reduced integer row elimination (rank_exact).
+with the bracket wedged in front.  The only nonzero basis brackets are
+[e_a, e_b] = c_{a,b-3} e_6 for a < 3 <= b < 6, and e_6 sorts last, so
+the sign of moving it into place is (-1)^(p-2); a wedge that already
+holds e_6 has zero boundary.  d∘d = 0 on this complex is the Jacobi
+identity (Chevalley & Eilenberg, Trans. AMS 63, 1948).  Chains are
+ordered by lexicographic index subsets.  All matrix work is exact: an
+entry with denominator 1 is an int (symbolic._coef), so an integer c
+builds no Fraction, and ranks come from gcd-reduced integer row
+elimination (rank_exact).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -44,15 +49,7 @@ from .model import _is_row, _rational, read_exact_json
 from .symbolic import _coef
 
 DIM = 7
-_ZERO7 = (0,) * DIM
-
-
-def _vec(values) -> tuple:
-    out = tuple(_coef(v if isinstance(v, (int, Fraction)) else Fraction(v))
-                for v in values)
-    if len(out) != DIM:
-        raise ValueError(f"bracket vectors need {DIM} entries")
-    return out
+Z = DIM - 1  # the index of e_6 = Z
 
 
 class StructureMatrix:
@@ -86,116 +83,12 @@ class StructureMatrix:
         return self.rows[i - 1][j - 1]
 
 
-class Algebra7:
-    """Seven-dimensional algebra given by its bracket table.
-
-    table maps ordered basis pairs (a, b) to the coordinate vector of
-    [e_a, e_b].  Pairs may come in either order; when both orders are
-    present they must be exact negatives, and diagonal entries must be
-    zero.  The stored form keeps a < b only.
-    """
-
-    def __init__(self, table: Mapping):
-        store: dict = {}
-        for (a, b), raw in table.items():
-            if not (0 <= a < DIM and 0 <= b < DIM):
-                raise ValueError(f"basis index out of range in ({a}, {b})")
-            vec = _vec(raw)
-            if a == b:
-                if any(vec):
-                    raise ValueError(
-                        f"[e_{a}, e_{a}] must vanish, got {vec}")
-                continue
-            key, signed = ((a, b), vec) if a < b else \
-                ((b, a), tuple(-v for v in vec))
-            if key in store:
-                if store[key] != signed:
-                    raise ValueError(
-                        f"entries for pair {key} are not antisymmetric")
-            elif any(signed):
-                store[key] = signed
-        self.table = store
-
-    @classmethod
-    def from_structure_matrix(cls, c: StructureMatrix) -> "Algebra7":
-        table = {}
-        for i in range(3):
-            for j in range(3):
-                val = c.rows[i][j]
-                if val:
-                    vec = [0] * DIM
-                    vec[6] = val
-                    table[(i, 3 + j)] = vec
-        return cls(table)
-
-    def bracket_basis(self, a: int, b: int) -> tuple:
-        if a == b:
-            return _ZERO7
-        if a < b:
-            return self.table.get((a, b), _ZERO7)
-        vec = self.table.get((b, a))
-        return _ZERO7 if vec is None else tuple(-v for v in vec)
-
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """[u, v] for coordinate vectors u, v."""
-        out = [0] * DIM
-        for (a, b), vec in self.table.items():
-            coeff = u[a] * v[b] - u[b] * v[a]
-            if coeff:
-                for m, w in enumerate(vec):
-                    if w:
-                        out[m] += coeff * w
-        return tuple(out)
-
-
-def build_algebra(c: StructureMatrix) -> Algebra7:
-    """The span algebra of a closure run: [X_i, Y_j] = c_ij Z and all
-    other basis brackets zero."""
-    return Algebra7.from_structure_matrix(c)
-
-
-def jacobi_check(algebra: Algebra7) -> bool:
-    """Exact Jacobi identity over all basis triples."""
-    basis = [tuple(int(i == t) for t in range(DIM)) for i in range(DIM)]
-    for a, b, c in combinations(range(DIM), 3):
-        ea, eb, ec = basis[a], basis[b], basis[c]
-        total = [0] * DIM
-        for first, second, third in ((ea, eb, ec), (eb, ec, ea),
-                                     (ec, ea, eb)):
-            inner = algebra.bracket(first, second)
-            outer = algebra.bracket(inner, third)
-            for m in range(DIM):
-                total[m] += outer[m]
-        if any(total):
-            return False
-    return True
-
-
-def _diagonal(rows) -> bool:
-    """c is diagonal with every c_ii nonzero."""
-    return all((v != 0) == (i == j)
-               for i, row in enumerate(rows) for j, v in enumerate(row))
-
-
-def is_heisenberg(algebra: Algebra7) -> bool:
-    """True for the diagonal case: the only surviving brackets are
-    [X_i, Y_i] = c_ii Z with every c_ii nonzero.  A bracket of any
-    other shape than [X_i, Y_j] = c_ij Z makes it False; otherwise the
-    c read off the table is checked as homology_report checks its c."""
-    rows = [[0] * 3 for _ in range(3)]
-    for (a, b), vec in algebra.table.items():
-        if any(vec[:6]) or not a < 3 <= b < 6:
-            return False
-        rows[a][b - 3] = vec[6]
-    return _diagonal(rows)
-
-
 def subsets(p: int):
     """Lexicographic basis of wedge degree p."""
     return list(combinations(range(DIM), p))
 
 
-def boundary_matrix(algebra: Algebra7, p: int):
+def boundary_matrix(c: StructureMatrix, p: int):
     """Matrix of d_p from degree p to degree p - 1 in the lexicographic
     wedge bases, rows indexed by (p-1)-subsets.  d_0 has no rows."""
     if not 0 <= p <= DIM:
@@ -203,25 +96,24 @@ def boundary_matrix(algebra: Algebra7, p: int):
     if p == 0:
         return []
     cols = subsets(p)
-    rows = subsets(p - 1)
-    row_index = {s: n for n, s in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
+    row_index = {s: n for n, s in enumerate(subsets(p - 1))}
+    mat = [[0] * len(cols) for _ in row_index]
     for col, subset in enumerate(cols):
-        # the table holds the nonzero brackets [e_a, e_b], a < b only
-        for (a, b), vec in algebra.table.items():
-            if a not in subset or b not in subset:
-                continue
-            r, s = subset.index(a), subset.index(b)
-            # 1-based slots r+1, s+1 give the (-1)^(r+s) pair sign
-            pair_sign = -1 if (r + s) % 2 else 1
-            rest = subset[:r] + subset[r + 1:s] + subset[s + 1:]
-            for m, w in enumerate(vec):
-                if not w or m in rest:
+        if subset[-1] == Z:
+            continue  # every bracket is a multiple of Z, and Z ^ Z = 0
+        # an X in slot r (a < 3), a Y in slot s (b >= 3); [X, X] = 0
+        for r, a in enumerate(subset):
+            if a >= 3:
+                break
+            for s in range(r + 1, p):
+                b = subset[s]
+                w = c.rows[a][b - 3] if b >= 3 else 0
+                if not w:
                     continue
-                smaller = sum(1 for t in rest if t < m)
-                sign = pair_sign * (-1 if smaller % 2 else 1)
-                target = tuple(sorted(rest + (m,)))
-                mat[row_index[target]][col] += sign * w
+                rest = subset[:r] + subset[r + 1:s] + subset[s + 1:]
+                # (-1)^(r+s) for the pair, (-1)^(p-2) to sort Z last
+                sign = -1 if (r + s + p) % 2 else 1
+                mat[row_index[rest + (Z,)]][col] += sign * _coef(w)
     return mat
 
 
@@ -305,8 +197,8 @@ class ChainComplex:
         return True
 
 
-def chain_complex(algebra: Algebra7) -> ChainComplex:
-    return ChainComplex(tuple(boundary_matrix(algebra, p)
+def chain_complex(c: StructureMatrix) -> ChainComplex:
+    return ChainComplex(tuple(boundary_matrix(c, p)
                               for p in range(DIM + 1)))
 
 
@@ -318,13 +210,13 @@ def _betti_euler(ranks: list):
     return betti, sum((-1) ** p * b for p, b in enumerate(betti))
 
 
-def betti_numbers(algebra: Algebra7) -> list:
+def betti_numbers(c: StructureMatrix) -> list:
     """b_p for p = 0..7."""
-    return _betti_euler(chain_complex(algebra).ranks())[0]
+    return _betti_euler(chain_complex(c).ranks())[0]
 
 
-def euler_characteristic(algebra: Algebra7) -> int:
-    return _betti_euler(chain_complex(algebra).ranks())[1]
+def euler_characteristic(c: StructureMatrix) -> int:
+    return _betti_euler(chain_complex(c).ranks())[1]
 
 
 def _closed_form(r: int) -> tuple:
@@ -348,13 +240,15 @@ _BY_RANK = tuple(_closed_form(r) for r in range(4))
 
 def homology_report(c: StructureMatrix) -> dict:
     """Betti vector, boundary ranks, Euler characteristic, and the
-    Heisenberg flag of build_algebra(c), as plain JSON-ready data.  The
-    first three depend on rank c alone (see the module docstring); the
-    Euler characteristic of a nonzero Lie algebra is 0."""
-    betti, ranks = _BY_RANK[rank_exact(c.rows)]
+    Heisenberg flag (the algebra is h_7, that is, rank c = 3) of the
+    span algebra of c, as plain JSON-ready data.  Every field depends
+    on rank c alone (see the module docstring); the Euler
+    characteristic of a nonzero Lie algebra is 0."""
+    r = rank_exact(c.rows)
+    betti, ranks = _BY_RANK[r]
     return {
         "betti": list(betti),
         "ranks": list(ranks),
         "euler": 0,
-        "heisenberg": _diagonal(c.rows),
+        "heisenberg": r == 3,
     }

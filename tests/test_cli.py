@@ -203,7 +203,7 @@ def test_homology_from_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["betti"][0] == 1
     assert report["betti"][1] == 6
-    assert report["heisenberg"] is False
+    assert report["heisenberg"] is True  # rank 3: h_7 in another basis
     assert report["c"][0][1] == "2"
 
 

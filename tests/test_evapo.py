@@ -228,7 +228,7 @@ def test_verify_candidate_flags_tanh_tension():
     assert len(rep.lam) == 27
     d = rep.to_dict()
     assert d["delta"]["11"]["max_abs"] <= 1e-9
-    assert d["seed"] == 0
+    assert "seed" not in d  # the sweep draws nothing; check-e adds the seed
 
 
 def test_verify_candidate_pole_is_reported():

@@ -1,6 +1,7 @@
 """Chain complex of the seven-dimensional span algebra: boundary
-matrices against an independent reference, exact ranks against floating
-rank and against sympy's exact rank, and the pinned diagonal-case
+matrices against an independent reference that reads the brackets off c,
+exact ranks against floating rank and against sympy's exact rank, the
+closed-form report against the Koszul complex, and the pinned h_7
 profile.  sympy is a test dependency only."""
 
 import contextlib
@@ -20,9 +21,8 @@ from hypothesis import strategies as st
 
 from liehouse.cli import main
 from liehouse.homology import (
-    DIM, Algebra7, StructureMatrix, betti_numbers, boundary_matrix,
-    build_algebra, chain_complex, euler_characteristic, homology_report,
-    is_heisenberg, jacobi_check, rank_exact, subsets,
+    DIM, StructureMatrix, betti_numbers, boundary_matrix, chain_complex,
+    euler_characteristic, homology_report, rank_exact, subsets,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "heisenberg_betti.json"
@@ -52,14 +52,27 @@ def _wedge_sort(seq):
     return sign, tuple(arr)
 
 
-def reference_boundary(algebra: Algebra7, p: int):
+def _basis_bracket(c: StructureMatrix, a: int, b: int) -> list:
+    """[e_a, e_b] in the basis X_1..X_3, Y_1..Y_3, Z: c_ij Z for
+    [X_i, Y_j], its negative for [Y_j, X_i], and zero otherwise."""
+    vec = [Fraction(0)] * DIM
+    if a < 3 <= b < 6:
+        vec[6] = c.rows[a][b - 3]
+    elif b < 3 <= a < 6:
+        vec[6] = -c.rows[b][a - 3]
+    return vec
+
+
+def reference_boundary(c: StructureMatrix, p: int):
+    if p == 0:
+        return []
     cols = list(combinations(range(DIM), p))
     rows = list(combinations(range(DIM), p - 1))
     row_of = {s: n for n, s in enumerate(rows)}
     mat = [[Fraction(0)] * len(cols) for _ in rows]
     for col, sub in enumerate(cols):
         for r, s in combinations(range(p), 2):
-            vec = algebra.bracket_basis(sub[r], sub[s])
+            vec = _basis_bracket(c, sub[r], sub[s])
             pair = (-1) ** ((r + 1) + (s + 1))
             rest = tuple(v for t, v in enumerate(sub) if t not in (r, s))
             for m, w in enumerate(vec):
@@ -78,11 +91,11 @@ def test_structure_matrix_io():
     c = StructureMatrix.identity()
     assert c.entry(1, 1) == 1
     assert c.entry(1, 2) == 0
-    assert is_heisenberg(build_algebra(c))
+    assert homology_report(c)["heisenberg"]
     bare = StructureMatrix.from_json("[[1,2,3],[4,5,6],[7,8,9]]")
     assert bare.entry(3, 1) == 7
     wrapped = StructureMatrix.from_json('{"c": [[1,0,0],[0,1,0],[0,0,0]]}')
-    assert not is_heisenberg(build_algebra(wrapped))
+    assert not homology_report(wrapped)["heisenberg"]
     assert StructureMatrix.from_json('[[0.5,0,0],[0,1,0],[0,0,1]]') \
         .entry(1, 1) == Fraction(1, 2)
 
@@ -94,56 +107,18 @@ def test_structure_matrix_errors():
         StructureMatrix.from_json("not json")
 
 
-# -- algebra --------------------------------------------------------------
-
-def test_bracket_table_normalization():
-    z = [0] * 7
-    e_z = list(z)
-    e_z[6] = 1
-    alg = Algebra7({(3, 0): [-v for v in e_z]})
-    assert alg.bracket_basis(0, 3) == tuple(Fraction(v) for v in e_z)
-    assert alg.bracket_basis(3, 0) == tuple(Fraction(-v) for v in e_z)
-    with pytest.raises(ValueError):
-        Algebra7({(0, 0): e_z})
-    with pytest.raises(ValueError):
-        Algebra7({(0, 3): e_z, (3, 0): e_z})
-    with pytest.raises(ValueError):
-        Algebra7({(0, 9): e_z})
-
-
-def test_bracket_is_bilinear(rng):
-    alg = build_algebra(rand_structure(rng))
-    for _ in range(5):
-        u = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
-        w = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
-        uv = alg.bracket(u, v)
-        vu = alg.bracket(v, u)
-        assert tuple(a + b for a, b in zip(uv, vu)) == (Fraction(0),) * 7
-        uw = alg.bracket(u, w)
-        both = alg.bracket(u, [a + b for a, b in zip(v, w)])
-        assert both == tuple(a + b for a, b in zip(uv, uw))
-
-
-def test_jacobi_for_span_algebras(rng):
-    assert jacobi_check(build_algebra(StructureMatrix.identity()))
-    for _ in range(3):
-        assert jacobi_check(build_algebra(rand_structure(rng)))
-
-
-def test_jacobi_detects_violation():
-    e0 = [1, 0, 0, 0, 0, 0, 0]
-    e2 = [0, 0, 1, 0, 0, 0, 0]
-    broken = Algebra7({(0, 1): e2, (0, 2): e0})
-    assert not jacobi_check(broken)
-
+# -- the Heisenberg flag ---------------------------------------------------
 
 def test_heisenberg_detection():
-    assert is_heisenberg(build_algebra(StructureMatrix.identity()))
+    """True exactly for rank c = 3, whatever the basis: the off-diagonal
+    c below is h_7 after a change of basis."""
+    assert homology_report(StructureMatrix.identity())["heisenberg"]
     offdiag = StructureMatrix.of([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    assert not is_heisenberg(build_algebra(offdiag))
+    assert homology_report(offdiag)["heisenberg"]
+    rank2 = StructureMatrix.of([[1, 2, 0], [2, 4, 1], [0, 0, 1]])
+    assert not homology_report(rank2)["heisenberg"]
     degenerate = StructureMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    assert not is_heisenberg(build_algebra(degenerate))
+    assert not homology_report(degenerate)["heisenberg"]
 
 
 # -- boundary matrices ----------------------------------------------------
@@ -156,15 +131,13 @@ def test_subsets_are_lexicographic():
 
 
 def test_degree_one_boundary_vanishes():
-    alg = build_algebra(StructureMatrix.identity())
-    mat = boundary_matrix(alg, 1)
+    mat = boundary_matrix(StructureMatrix.identity(), 1)
     assert len(mat) == 1 and len(mat[0]) == 7
     assert all(v == 0 for v in mat[0])
 
 
 def test_degree_two_boundary_single_entries():
-    alg = build_algebra(StructureMatrix.identity())
-    mat = boundary_matrix(alg, 2)
+    mat = boundary_matrix(StructureMatrix.identity(), 2)
     pairs = subsets(2)
     z_row = subsets(1).index((6,))
     for col, (a, b) in enumerate(pairs):
@@ -176,21 +149,27 @@ def test_degree_two_boundary_single_entries():
             assert not any(column)
 
 
+# one nonzero column or row of c: a boundary that read c.rows[a][b - 3]
+# for b < 3 as well would pick up its entries through negative indices
+ONE_COLUMN = [[0, 0, 2], [0, 0, Fraction(-1, 3)], [0, 0, 5]]
+ONE_ROW = [[0, 0, 0], [0, 0, 0], [3, Fraction(1, 2), -4]]
+
+
 def test_boundary_matches_independent_reference(rng):
     mats_checked = 0
-    for c in [StructureMatrix.identity(), rand_structure(rng),
+    for c in [StructureMatrix.identity(), StructureMatrix.of(ONE_COLUMN),
+              StructureMatrix.of(ONE_ROW), rand_structure(rng),
               rand_structure(rng)]:
-        alg = build_algebra(c)
-        for p in range(1, DIM + 1):
-            assert boundary_matrix(alg, p) == reference_boundary(alg, p)
+        for p in range(DIM + 1):
+            assert boundary_matrix(c, p) == reference_boundary(c, p), p
             mats_checked += 1
-    assert mats_checked == 21
+    assert mats_checked == 40
+
 
 
 def test_boundary_rejects_bad_degree():
-    alg = build_algebra(StructureMatrix.identity())
     with pytest.raises(ValueError):
-        boundary_matrix(alg, 8)
+        boundary_matrix(StructureMatrix.identity(), 8)
 
 
 # -- exact rank -----------------------------------------------------------
@@ -278,9 +257,8 @@ def test_rank_exact_matches_sympy(rows):
 @settings(max_examples=12, deadline=None)
 @given(rational_structures())
 def test_boundary_ranks_match_sympy(c):
-    alg = build_algebra(c)
     for p in range(DIM + 1):
-        mat = boundary_matrix(alg, p)
+        mat = boundary_matrix(c, p)
         assert rank_exact(mat) == sympy.Matrix(mat).rank(), p
 
 
@@ -297,24 +275,23 @@ def test_chain_dims_and_exactness(rng):
     cases = [StructureMatrix.identity()] \
         + [rand_structure(rng) for _ in range(3)]
     for c in cases:
-        cc = chain_complex(build_algebra(c))
+        cc = chain_complex(c)
         assert cc.dims() == [1, 7, 21, 35, 35, 21, 7, 1]
         assert cc.d_squared_is_zero()
 
 
 def test_identity_profile_matches_golden():
-    alg = build_algebra(StructureMatrix.identity())
-    cc = chain_complex(alg)
-    betti = betti_numbers(alg)
+    c = StructureMatrix.identity()
+    betti = betti_numbers(c)
     want = json.loads(GOLDEN.read_text())
     assert betti == want["betti"]
-    assert cc.ranks() == want["ranks"]
-    assert euler_characteristic(alg) == want["euler"]
+    assert chain_complex(c).ranks() == want["ranks"]
+    assert euler_characteristic(c) == want["euler"]
     assert betti == [1, 6, 14, 14, 14, 14, 6, 1]
 
 
 def test_poincare_duality_identity():
-    betti = betti_numbers(build_algebra(StructureMatrix.identity()))
+    betti = betti_numbers(StructureMatrix.identity())
     for p in range(8):
         assert betti[p] == betti[7 - p]
     assert sum((-1) ** p * b for p, b in enumerate(betti)) == 0
@@ -322,13 +299,13 @@ def test_poincare_duality_identity():
 
 def test_generic_structure_betti_ends(rng):
     for _ in range(4):
-        alg = build_algebra(rand_structure(rng))
-        betti = betti_numbers(alg)
+        c = rand_structure(rng)
+        betti = betti_numbers(c)
         assert betti[0] == 1
         assert betti[1] == 6
         assert betti[6] == 6
         assert betti[7] == 1
-        assert euler_characteristic(alg) == 0
+        assert euler_characteristic(c) == 0
 
 
 def _heisenberg_betti(n: int) -> list:
@@ -362,7 +339,7 @@ def _integer_matrix_of_rank(rng: random.Random, r: int) -> list:
 def test_betti_closed_form_depends_only_on_rank(rng, r):
     for _ in range(3):
         rows = _integer_matrix_of_rank(rng, r)
-        betti = betti_numbers(build_algebra(StructureMatrix.of(rows)))
+        betti = betti_numbers(StructureMatrix.of(rows))
         assert betti == _closed_form_betti(r), rows
 
 
@@ -392,20 +369,21 @@ def _golden_matrix(name: str) -> StructureMatrix:
 
 
 def _koszul_report(c: StructureMatrix) -> dict:
-    """The report read off the eight boundary matrices."""
-    alg = build_algebra(c)
-    betti = betti_numbers(alg)
+    """The report read off the eight boundary matrices.  The algebra is
+    h_7 exactly when its Betti vector is h_7's (the pinned golden):
+    the Betti vectors of the four possible algebras differ."""
+    betti = betti_numbers(c)
     return {
         "betti": betti,
-        "ranks": chain_complex(alg).ranks(),
+        "ranks": chain_complex(c).ranks(),
         "euler": sum((-1) ** p * b for p, b in enumerate(betti)),
-        "heisenberg": is_heisenberg(alg),
+        "heisenberg": betti == json.loads(GOLDEN.read_text())["betti"],
     }
 
 
 def _corpus(seed: int = 2113) -> list:
     """Integer, rational and rationally scaled c of every rank 0-3, with
-    the rank checked by sympy, plus diagonal ones (heisenberg True)."""
+    the rank checked by sympy, plus diagonal ones."""
     rng = random.Random(seed)
     out = []
     for r in range(4):
@@ -450,6 +428,42 @@ def test_closed_form_report_equals_koszul_on_corpus():
     assert {tuple(rep["betti"]) for rep in reports} \
         == {tuple(_closed_form_betti(r)) for r in range(4)}
     assert {rep["heisenberg"] for rep in reports} == {False, True}
+
+
+def _unimodular(rng: random.Random) -> list:
+    """A random 3x3 integer matrix of determinant +-1: a product of row
+    swaps, sign flips and integer row additions."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(8):
+        i, j = rng.sample(range(3), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            m[i], m[j] = m[j], m[i]
+        elif move == 1:
+            m[i] = [-v for v in m[i]]
+        else:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _product(a: list, b: list) -> list:
+    return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def test_homology_report_is_basis_independent():
+    """Every field, heisenberg included, depends on rank c alone, so a
+    change of basis c -> P c Q leaves the report as it is."""
+    rng = random.Random(2503)
+    corpus = _corpus() + [_golden_matrix(name) for name in HOMOLOGY_GOLDENS]
+    for c in corpus:
+        want = homology_report(c)
+        for _ in range(3):
+            p, q = _unimodular(rng), _unimodular(rng)
+            assert round(np.linalg.det(np.array(p, dtype=float))) in (-1, 1)
+            moved = StructureMatrix.of(_product(_product(p, c.rows), q))
+            assert homology_report(moved) == want, (c.rows, p, q)
 
 
 def test_homology_cli_builds_no_boundary_matrix(monkeypatch):

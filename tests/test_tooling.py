@@ -1,5 +1,6 @@
 """Repository checks that need no installed tool: the benchmark tracer's
-targets exist, and the package modules import nothing they do not use."""
+targets exist, the package modules import nothing they do not use, and
+liehouse.__all__ names exactly what the package re-exports."""
 
 import ast
 import importlib
@@ -55,3 +56,23 @@ def _unused_imports(path: Path) -> list:
 def test_module_has_no_unused_import(name):
     # __init__.py imports to re-export, so it is left out
     assert _unused_imports(PACKAGE / name) == []
+
+
+def test_package_all_names_resolve():
+    import liehouse
+    missing = [name for name in liehouse.__all__
+               if not hasattr(liehouse, name)]
+    assert missing == []
+
+
+def test_package_all_has_no_duplicates():
+    import liehouse
+    assert len(set(liehouse.__all__)) == len(liehouse.__all__)
+
+
+def test_package_all_lists_what_init_imports():
+    import liehouse
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == set(liehouse.__all__)
