@@ -14,9 +14,9 @@ from .closure import (
     delta_ij_formula, delta_ijk_formula, magic_tuples,
 )
 from .evapo import (
-    CharacteristicFamily, ConditionMeasurement, PoleError, TanhConstants,
-    VerificationReport, characteristic_line, default_grid, descriptor_to_expr,
-    e_characteristic, e_tanh, make_grid, parse_descriptor, verify_candidate,
+    ConditionMeasurement, PoleError, VerificationReport, characteristic_line,
+    default_grid, descriptor_to_expr, e_characteristic, e_tanh, make_grid,
+    verify_candidate,
 )
 from .fields import (
     ZERO_FIELD, VectorField, apply_to_scalar, exact_div, lie_bracket,
@@ -41,21 +41,19 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainComplex", "CharacteristicFamily", "ClosureEngine",
-    "ClosureReport", "ConditionMeasurement",
+    "ChainComplex", "ClosureEngine", "ClosureReport", "ConditionMeasurement",
     "ControlSchedule", "CROSS_VARIANTS", "EvaluationError", "Expr",
     "InconsistentBindingError", "InvalidParamsError",
     "MissingAssignmentError", "Params", "ParseError", "PoleError", "Program",
-    "StructureMatrix", "SymbolicError", "TanhConstants", "Trajectory",
-    "VectorField", "VerificationReport", "ZERO_FIELD", "apply_to_scalar",
-    "betti_numbers", "boundary_matrix", "build_fields",
-    "chain_complex", "characteristic_line", "check_closure", "compile_exprs",
-    "cos", "default_grid", "delta_ij_formula", "delta_ijk_formula",
-    "demo_params", "descriptor_to_expr",
-    "differentiate", "e_characteristic", "e_tanh", "epartial",
-    "euler_characteristic", "eval_numeric", "evaluate", "exact_div", "exp",
-    "homology_report", "is_zero", "lie_bracket", "magic_tuples", "make_grid",
-    "param", "parse", "parse_descriptor", "proportional_to", "rank_exact",
-    "simulate", "sin", "substitute", "tanh", "to_text", "validate_params",
-    "var", "verify_candidate",
+    "StructureMatrix", "SymbolicError", "Trajectory", "VectorField",
+    "VerificationReport", "ZERO_FIELD", "apply_to_scalar", "betti_numbers",
+    "boundary_matrix", "build_fields", "chain_complex", "characteristic_line",
+    "check_closure", "compile_exprs", "cos", "default_grid",
+    "delta_ij_formula", "delta_ijk_formula", "demo_params",
+    "descriptor_to_expr", "differentiate", "e_characteristic", "e_tanh",
+    "epartial", "euler_characteristic", "eval_numeric", "evaluate",
+    "exact_div", "exp", "homology_report", "is_zero", "lie_bracket",
+    "magic_tuples", "make_grid", "param", "parse", "proportional_to",
+    "rank_exact", "simulate", "sin", "substitute", "tanh", "to_text",
+    "validate_params", "var", "verify_candidate",
 ]

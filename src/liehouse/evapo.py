@@ -1,13 +1,17 @@
 """Evapotranspiration candidates and their measurement against the
 closure system.
 
-Two constructive families are provided.  The characteristic family
-composes arbitrary one-variable shapes with the lines
-l_i = -gamma_2i x + gamma_1i y that the operators Delta annihilate,
+Two constructive families are provided, each built straight into an
+expression.  e_characteristic(p, pairs, diagonal) composes one-variable
+shapes with the lines l_i = -gamma_2i x + gamma_1i y that the operators
+Delta annihilate, one explicit (shape, line index) pair at a time,
 optionally adding the diagonal term x^2 / (2 gamma_1i gamma_1j) whose
-Delta_ij is exactly 1.  The tanh family is the quotient
+Delta_ij is exactly 1.  e_tanh(p, C1, C2, C3, C4, i) is the quotient
 
     E_i = 1 / (C4 + C3 tanh((C1 g_1i - C2 g_2i x + C2 g_1i y) / g_1i)).
+
+descriptor_to_expr is the one path from descriptor text to E: it parses
+the text and calls one of the two.
 
 verify_candidate measures a candidate against the full system
 
@@ -27,10 +31,11 @@ from fractions import Fraction
 from itertools import product
 
 from .closure import ClosureEngine, _INDICES, _check_index
-from .model import Params
+from .model import Params, exact_number
 from .parsing import parse
 from .symbolic import (
-    Expr, base_atoms, substitute, tanh, var, _Lowering, _PARAM, _VAR,
+    Expr, add_all, base_atoms, substitute, tanh, var, _Lowering, _PARAM,
+    _VAR,
 )
 
 
@@ -38,72 +43,18 @@ class PoleError(ValueError):
     """The candidate E (or a derivative) is singular on the grid."""
 
 
-class TanhConstants:
-    """Constants of the tanh quotient family, attached to channel i."""
-
-    def __init__(self, c1: Fraction, c2: Fraction, c3: Fraction,
-                 c4: Fraction, i: int):
-        self.c1 = c1
-        self.c2 = c2
-        self.c3 = c3
-        self.c4 = c4
-        self.i = i
-
-    @classmethod
-    def of(cls, c1, c2, c3, c4, i: int) -> "TanhConstants":
-        _check_index(i)
-        out = cls(Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4), i)
-        if out.c3 == 0 and out.c4 == 0:
-            raise ValueError("C3 and C4 cannot both vanish")
-        return out
-
-
-def e_tanh(p: Params, c: TanhConstants) -> Expr:
-    """The tanh quotient candidate.  Needs gamma_1i nonzero (it divides
-    the argument); the result is constant along the i-th line."""
-    g1 = p.gamma_entry(1, c.i)
+def e_tanh(p: Params, c1, c2, c3, c4, i: int) -> Expr:
+    """The tanh quotient candidate attached to channel i.  C3 and C4
+    may not both vanish, and gamma_1i must be nonzero (it divides the
+    argument); the result is constant along the i-th line."""
+    _check_index(i)
+    c1, c2, c3, c4 = map(Fraction, (c1, c2, c3, c4))
+    if c3 == 0 and c4 == 0:
+        raise ValueError("C3 and C4 cannot both vanish")
+    g1 = p.gamma_entry(1, i)
     if g1 == 0:
-        raise ValueError(f"gamma_1{c.i} must be nonzero")
-    arg = c.c1 + c.c2 * characteristic_line(p, c.i) / g1
-    return 1 / (c.c4 + c.c3 * tanh(arg))
-
-
-class CharacteristicFamily:
-    """Shapes composed with characteristic lines.
-
-    f1, f2 (and optionally f3) are expressions in the single formal
-    variable x; composition replaces that variable by a characteristic
-    line.  f1 goes with the j-line, f2 with the i-line and f3 with the
-    k-line, the order the two-shape solution is usually written in.
-    diagonal_term adds x^2 / (2 gamma_1i gamma_1j) and is meaningful
-    for the two-shape family only.
-    """
-
-    def __init__(self, f1: Expr, f2: Expr, i: int, j: int,
-                 f3: Expr | None = None, k: int | None = None,
-                 diagonal_term: bool = False):
-        _check_index(i, j)
-        if (f3 is None) != (k is None):
-            raise ValueError("f3 and k must be given together")
-        if k is not None:
-            _check_index(k)
-            if diagonal_term:
-                raise ValueError(
-                    "diagonal_term belongs to the two-shape family")
-        for f in (f1, f2, f3):
-            if f is None:
-                continue
-            for atom in base_atoms(f):
-                if atom.kind == _VAR and atom.data != "x":
-                    raise ValueError(
-                        f"shapes are unary (in x); found {atom!r}")
-        self.f1 = f1
-        self.f2 = f2
-        self.i = i
-        self.j = j
-        self.f3 = f3
-        self.k = k
-        self.diagonal_term = diagonal_term
+        raise ValueError(f"gamma_1{i} must be nonzero")
+    return 1 / (c4 + c3 * tanh(c1 + c2 * characteristic_line(p, i) / g1))
 
 
 def characteristic_line(p: Params, idx: int) -> Expr:
@@ -114,60 +65,74 @@ def characteristic_line(p: Params, idx: int) -> Expr:
     return -g2 * var("x") + g1 * var("y")
 
 
-def e_characteristic(p: Params, fam: CharacteristicFamily) -> Expr:
-    """Compose each shape with its line; add the diagonal term when
-    requested."""
+def e_characteristic(p: Params, pairs: Sequence,
+                     diagonal: tuple | None = None) -> Expr:
+    """The sum of each shape composed with its characteristic line.
+
+    pairs holds (shape, line index) pairs; a shape is an expression in
+    the single formal variable x, which composition replaces by the
+    line.  diagonal, the (i, j) of a two-shape family, adds
+    x^2 / (2 gamma_1i gamma_1j), whose Delta_ij is exactly 1.
+    """
+    _check_index(*(idx for _, idx in pairs))
+    if diagonal is not None:
+        _check_index(*diagonal)
+        if len(pairs) != 2:
+            raise ValueError("diagonal_term belongs to the two-shape family")
+    for shape, _ in pairs:
+        for atom in base_atoms(shape):
+            if atom.kind == _VAR and atom.data != "x":
+                raise ValueError(f"shapes are unary (in x); found {atom!r}")
     x = var("x")
-    out = substitute(fam.f1, {x: characteristic_line(p, fam.j)})
-    out = out + substitute(fam.f2, {x: characteristic_line(p, fam.i)})
-    if fam.f3 is not None:
-        out = out + substitute(fam.f3, {x: characteristic_line(p, fam.k)})
-    if fam.diagonal_term:
-        g1i, g1j = p.gamma_entry(1, fam.i), p.gamma_entry(1, fam.j)
-        out = out + x ** 2 / (2 * g1i * g1j)
+    out = add_all(substitute(shape, {x: characteristic_line(p, idx)})
+                  for shape, idx in pairs)
+    if diagonal is not None:
+        i, j = diagonal
+        out = out + x ** 2 / (2 * p.gamma_entry(1, i) * p.gamma_entry(1, j))
     return out
 
 
 # -- descriptors -------------------------------------------------------
 
-def parse_descriptor(text: str):
-    """CLI mini-syntax for candidates:
+def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
+    """The candidate E a descriptor names, in the CLI mini-syntax
 
-        tanh:C1,C2,C3,C4,i
-        char:i,j[,k][,diag]:<F1 expr>;<F2 expr>[;<F3 expr>]
+        tanh:C1,C2,C3,C4,i                          e_tanh
+        char:i,j[,k][,diag]:<F1>;<F2>[;<F3>]        e_characteristic
         expr:<closed form in x, y>
 
-    Returns a TanhConstants, CharacteristicFamily, or Expr.
-    """
-    kind, sep, rest = text.partition(":")
+    char pairs F1 with the j-line, F2 with the i-line and F3 with the
+    k-line; diag asks for the (i, j) diagonal term.  E is a function of
+    x, y and the model parameters only; any other atom (z, E or one of
+    its partials) raises ValueError."""
+    kind, sep, rest = descriptor.partition(":")
     if not sep:
         raise ValueError(
             f"E descriptor needs a kind prefix (tanh:, char:, expr:), "
-            f"got {text!r}")
+            f"got {descriptor!r}")
     if kind == "expr":
-        return parse(rest)
-    if kind == "tanh":
+        e = parse(rest)
+    elif kind == "tanh":
         parts = [s.strip() for s in rest.split(",")]
         if len(parts) != 5:
             raise ValueError(
                 "tanh descriptor needs C1,C2,C3,C4,i "
                 f"(5 fields, got {len(parts)})")
         try:
-            consts = [Fraction(s) for s in parts[:4]]
+            consts = [exact_number(s) for s in parts[:4]]
             idx = int(parts[4])
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"bad tanh descriptor field: {err}")
-        return TanhConstants.of(*consts, idx)
-    if kind == "char":
+        e = e_tanh(p, *consts, idx)
+    elif kind == "char":
         head, sep2, funcs = rest.partition(":")
         if not sep2:
             raise ValueError(
                 "char descriptor needs an index head and a shape list "
                 "separated by ':'")
         head_parts = [s.strip() for s in head.split(",")]
-        diagonal = False
-        if head_parts and head_parts[-1] == "diag":
-            diagonal = True
+        diagonal = head_parts[-1] == "diag"
+        if diagonal:
             head_parts = head_parts[:-1]
         if len(head_parts) not in (2, 3):
             raise ValueError("char descriptor needs indices i,j or i,j,k")
@@ -180,27 +145,11 @@ def parse_descriptor(text: str):
             raise ValueError(
                 f"char descriptor has {len(idxs)} indices but "
                 f"{len(shapes)} shapes")
-        if len(idxs) == 2:
-            return CharacteristicFamily(
-                f1=shapes[0], f2=shapes[1], i=idxs[0], j=idxs[1],
-                diagonal_term=diagonal)
-        return CharacteristicFamily(
-            f1=shapes[0], f2=shapes[1], f3=shapes[2],
-            i=idxs[0], j=idxs[1], k=idxs[2], diagonal_term=diagonal)
-    raise ValueError(f"unknown E descriptor kind {kind!r}")
-
-
-def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
-    """The candidate E a descriptor names.  E is a function of x, y and
-    the model parameters only; any other atom (z, E or one of its
-    partials) raises ValueError."""
-    parsed = parse_descriptor(descriptor)
-    if isinstance(parsed, TanhConstants):
-        e = e_tanh(p, parsed)
-    elif isinstance(parsed, CharacteristicFamily):
-        e = e_characteristic(p, parsed)
+        i, j = idxs[:2]
+        e = e_characteristic(p, list(zip(shapes, [j, i, *idxs[2:]])),
+                             (i, j) if diagonal else None)
     else:
-        e = parsed
+        raise ValueError(f"unknown E descriptor kind {kind!r}")
     for atom in base_atoms(e):
         if not (atom.kind == _PARAM
                 or (atom.kind == _VAR and atom.data in ("x", "y"))):
@@ -348,14 +297,13 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
     arithmetic error or is not finite raises a PoleError naming that
     point.
     """
-    # many conditions coincide (most are 0); measure each distinct one once
-    distinct = list(dict.fromkeys(zip(conditions, targets)))
+    # many conditions coincide (most are 0): equal ones share a local
     low = _Lowering((var("x"), var("y")), indent=" " * 12)
-    names = [low.value(c) for c, _ in distinct]
+    names = [low.value(c) for c in conditions]
     values = list(dict.fromkeys(names))
     peaks = {}  # (value, target) -> the local of its largest |value - target|
     updates = []
-    for name, (_, target) in zip(names, distinct):
+    for name, target in zip(names, targets):
         for key in ((name, 0.0), (name, float(target))):
             if key not in peaks:
                 peaks[key] = f"p{len(peaks)}"
@@ -384,12 +332,12 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
             f"candidate is singular at grid point (x={point[0]}, "
             f"y={point[1]})")
     peak = dict(zip(peaks, found))
-    measured = {}
-    for name, pair in zip(names, distinct):
-        dev = peak[name, float(pair[1])]
-        measured[pair] = ConditionMeasurement(
-            pair[1], peak[name, 0.0], dev, dev <= tol)
-    return [measured[pair] for pair in zip(conditions, targets)]
+    out = []
+    for name, target in zip(names, targets):
+        dev = peak[name, float(target)]
+        out.append(ConditionMeasurement(target, peak[name, 0.0], dev,
+                                        dev <= tol))
+    return out
 
 
 def verify_candidate(p: Params, e: Expr, grid: Sequence | None = None,

@@ -62,30 +62,34 @@ def _rational(value, where: str) -> Fraction:
     return value if value.__class__ is Fraction else Fraction(value)
 
 
-def _json_number(text: str) -> Fraction:
-    """A JSON number literal as an exact Fraction.  A literal outside
-    the float range (infinite as a float, or a nonzero literal that
-    rounds to 0.0) is a ValueError naming it, raised before the Fraction
-    is built: Fraction("1e99999999") would build 10**99999999."""
-    value = float(text)
+def exact_number(text: str) -> Fraction:
+    """A number literal as an exact Fraction: a JSON number, or any
+    literal Fraction reads (p/q, a sign, digit underscores).  A literal
+    outside the float range (infinite as a float, or a nonzero literal
+    that rounds to 0.0) is a ValueError naming it, raised before the
+    Fraction is built: Fraction("1e99999999") would build 10**99999999."""
+    try:
+        value = float(text)
+    except ValueError:  # p/q, or no number: Fraction reads or refuses it
+        return Fraction(text)
     if math.isinf(value) or (
-            value == 0 and text.lower().partition("e")[0].strip("-0.")):
+            value == 0 and text.lower().partition("e")[0].strip("+-0._")):
         raise ValueError(f"number {text} is outside the float range")
     if not value:  # a zero literal may carry any exponent: 0e-99999999
         return Fraction(0)
     # an integer literal in the float range has at most 309 digits;
     # int() skips Fraction's regular-expression parse
-    if "." in text or "e" in text or "E" in text:
-        return Fraction(text)
-    return Fraction(int(text))
+    if text.lstrip("-").isdigit():
+        return Fraction(int(text))
+    return Fraction(text)
 
 
 def read_exact_json(text: str, what: str):
     """Parse JSON text with every number an exact Fraction (see
-    _json_number); what names the input in the error message."""
+    exact_number); what names the input in the error message."""
     try:
-        return json.loads(text, parse_float=_json_number,
-                          parse_int=_json_number)
+        return json.loads(text, parse_float=exact_number,
+                          parse_int=exact_number)
     except json.JSONDecodeError as err:
         raise ValueError(f"{what} is not valid JSON: {err}")
 

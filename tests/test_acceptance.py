@@ -15,7 +15,7 @@ from liehouse.cli import main as cli_main
 from liehouse.closure import (
     ClosureEngine, check_closure, delta_ij_formula, delta_ijk_formula,
 )
-from liehouse.evapo import TanhConstants, e_tanh, verify_candidate
+from liehouse.evapo import e_characteristic, e_tanh, verify_candidate
 from liehouse.fields import apply_to_scalar, lie_bracket, proportional_to
 from liehouse.homology import (
     StructureMatrix, betti_numbers, chain_complex, euler_characteristic,
@@ -193,7 +193,6 @@ def test_criterion_6_oracle_formula_agreement(report):
 
 def test_criterion_7_solution_families(report):
     rng = random.Random(707)
-    from liehouse.evapo import CharacteristicFamily, e_characteristic
     problems = []
     for n in range(20):
         p = rand_params(rng)
@@ -202,16 +201,13 @@ def test_criterion_7_solution_families(report):
         f1 = rand_univariate(rng, degree=5)
         f2 = rand_univariate(rng, degree=5)
         f3 = rand_univariate(rng, degree=5)
-        two = e_characteristic(p, CharacteristicFamily(f1=f1, f2=f2,
-                                                       i=i, j=j))
+        two = e_characteristic(p, [(f1, j), (f2, i)])
         if ClosureEngine(p, two).delta(i, j) != as_expr(0):
             problems.append(f"draw {n}: two-shape delta_{i}{j} != 0")
-        with_diag = e_characteristic(p, CharacteristicFamily(
-            f1=f1, f2=f2, i=i, j=j, diagonal_term=True))
+        with_diag = e_characteristic(p, [(f1, j), (f2, i)], diagonal=(i, j))
         if ClosureEngine(p, with_diag).delta(i, j) != as_expr(1):
             problems.append(f"draw {n}: diagonal term misses 1")
-        three = e_characteristic(p, CharacteristicFamily(
-            f1=f1, f2=f2, f3=f3, i=i, j=j, k=k))
+        three = e_characteristic(p, [(f1, j), (f2, i), (f3, k)])
         if ClosureEngine(p, three).delta3(i, j, k) != as_expr(0):
             problems.append(f"draw {n}: three-shape delta_{i}{j}{k} != 0")
         if problems:
@@ -226,8 +222,7 @@ def test_criterion_8_tanh_family_measurement(report):
     problems = []
     details = []
     for i in IDX:
-        e = e_tanh(p, TanhConstants.of(Fraction(1), Fraction(2),
-                                       Fraction(1), Fraction(3), i))
+        e = e_tanh(p, Fraction(1), Fraction(2), Fraction(1), Fraction(3), i)
         rep = verify_candidate(p, e)
         diag = rep.delta[(i, i)].max_abs
         details.append(f"max|D_{i}{i}| = {diag:.1e}")

@@ -17,6 +17,7 @@ import pytest
 import liehouse.cli
 from liehouse import model
 from liehouse.cli import main
+from liehouse.evapo import descriptor_to_expr, e_tanh
 from liehouse.homology import StructureMatrix
 from liehouse.model import Params
 
@@ -710,6 +711,30 @@ def test_literal_beyond_float_range_exit_two_at_once(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == \
         f"error: number {literal} is outside the float range\n"
+
+
+@pytest.mark.parametrize("literal", [
+    "1e99999999", "1e99999", "-1e-99999999", "1" + "0" * 400])
+def test_tanh_constant_beyond_float_range_exit_two_at_once(
+        params_file, capsys, literal):
+    # a tanh constant is read by the same rule as a JSON number
+    start = time.perf_counter()
+    assert main(["bracket", "--params", params_file,
+                 "--e", f"tanh:{literal},2,1,3,1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad tanh descriptor field: "
+                            f"number {literal} is outside the float range\n")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("1/3", Fraction(1, 3)), ("-2", Fraction(-2)), ("0.5", Fraction(1, 2)),
+    ("1e5", Fraction(10 ** 5)), ("0e-99999999", Fraction(0))])
+def test_tanh_constant_in_float_range_keeps_its_exact_value(field, value):
+    p = model.demo_params()
+    assert descriptor_to_expr(p, f"tanh:1,2,{field},3,1") == \
+        e_tanh(p, 1, 2, value, 3, 1)
 
 
 @pytest.mark.parametrize("literal,value", [

@@ -16,8 +16,7 @@ from liehouse.closure import (
     delta_ijk_formula, magic_tuples,
 )
 from liehouse.evapo import (
-    CharacteristicFamily, TanhConstants, descriptor_to_expr,
-    e_characteristic, e_tanh, verify_candidate,
+    descriptor_to_expr, e_characteristic, e_tanh, verify_candidate,
 )
 from liehouse.fields import (
     VectorField, ZERO_FIELD, along, apply_to_scalar, gradient, lie_bracket,
@@ -270,17 +269,16 @@ def engine_cases(draw):
     family = draw(st.sampled_from(("tanh", "char", "poly")))
     if family == "tanh":
         c3, c4 = draw(st.sampled_from(((1, 3), (-1, 2), (0, 1), (2, 0))))
-        e = e_tanh(p, TanhConstants.of(draw(st.integers(-2, 2)),
-                                       draw(st.integers(1, 3)), c3, c4,
-                                       draw(st.sampled_from(IDX))))
+        e = e_tanh(p, draw(st.integers(-2, 2)), draw(st.integers(1, 3)),
+                   c3, c4, draw(st.sampled_from(IDX)))
     elif family == "char":
         i, j = draw(st.sampled_from(
             [(i, j) for i in IDX for j in IDX if i != j]))
         shapes = (rand_univariate(rng, 3), tanh(X), X * tanh(X))
-        e = e_characteristic(p, CharacteristicFamily(
-            f1=draw(st.sampled_from(shapes)),
-            f2=draw(st.sampled_from(shapes)), i=i, j=j,
-            diagonal_term=draw(st.booleans())))
+        e = e_characteristic(
+            p, [(draw(st.sampled_from(shapes)), j),
+                (draw(st.sampled_from(shapes)), i)],
+            (i, j) if draw(st.booleans()) else None)
     else:
         e = rand_poly(rng, degree=3, vars3=False)
     return p, e, draw(st.sampled_from(CROSS_VARIANTS))
@@ -344,7 +342,7 @@ _SYMBOLIC = Params.symbolic()
 
 @settings(max_examples=12, deadline=None)
 @given(engine_cases())
-@example((_SYMBOLIC, e_tanh(_SYMBOLIC, TanhConstants.of(1, 2, 1, 3, 1)),
+@example((_SYMBOLIC, e_tanh(_SYMBOLIC, 1, 2, 1, 3, 1),
           "bracket_1"))
 def test_build_fields_writes_the_closed_e_into_the_drift(case):
     p, e, variant = case
@@ -376,7 +374,7 @@ def test_engine_checks_signs_before_closing_e():
 def test_paper_2_scan_needs_no_coefficient_oracle(monkeypatch):
     p = demo_params()
     cases = (X ** 3 * Y + X * Y ** 2,
-             e_tanh(p, TanhConstants.of(1, 2, 1, 3, 1)))
+             e_tanh(p, 1, 2, 1, 3, 1))
     want = [(check_closure(p, e, cross_variant="paper_2"),
              verify_candidate(p, e, cross_variant="paper_2"))
             for e in cases]

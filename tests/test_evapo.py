@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from liehouse.closure import CROSS_VARIANTS, ClosureEngine
 from liehouse.evapo import (
-    MAX_GRID_POINTS, CharacteristicFamily, PoleError, TanhConstants,
-    characteristic_line, default_grid, descriptor_to_expr, e_characteristic,
-    e_tanh, make_grid, parse_descriptor, verify_candidate, _measure_all,
+    MAX_GRID_POINTS, PoleError, characteristic_line, default_grid,
+    descriptor_to_expr, e_characteristic, e_tanh, make_grid, verify_candidate,
+    _measure_all,
 )
 from liehouse.model import Params, demo_params
 from liehouse.symbolic import (
@@ -32,51 +32,52 @@ X, Y = var("x"), var("y")
 F = Fraction
 
 
-def _tanh_reference(p, c, x, y):
-    g1 = float(p.gamma_entry(1, c.i))
-    g2 = float(p.gamma_entry(2, c.i))
-    arg = (float(c.c1) * g1 - float(c.c2) * g2 * x
-           + float(c.c2) * g1 * y) / g1
-    return 1.0 / (float(c.c4) + float(c.c3) * math.tanh(arg))
+def _tanh_reference(p, c1, c2, c3, c4, i, x, y):
+    g1 = float(p.gamma_entry(1, i))
+    g2 = float(p.gamma_entry(2, i))
+    arg = (float(c1) * g1 - float(c2) * g2 * x + float(c2) * g1 * y) / g1
+    return 1.0 / (float(c4) + float(c3) * math.tanh(arg))
 
 
 # -- tanh family --------------------------------------------------------
 
 def test_tanh_family_evaluates_like_reference():
     p = demo_params()
-    c = TanhConstants.of(F(1), F(2), F(1), F(3), 1)
-    e = e_tanh(p, c)
+    c = (F(1), F(2), F(1), F(3), 1)
+    e = e_tanh(p, *c)
     rng = random.Random(4)
     for _ in range(10):
         x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
         got = eval_numeric(e, {X: x, Y: y})
-        assert got == pytest.approx(_tanh_reference(p, c, x, y), abs=1e-12)
+        assert got == pytest.approx(_tanh_reference(p, *c, x, y), abs=1e-12)
 
 
 def test_tanh_family_kills_its_own_delta_exactly():
     p = demo_params()
     for i in (1, 2, 3):
-        e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), i))
+        e = e_tanh(p, F(1), F(2), F(1), F(3), i)
         assert ClosureEngine(p, e).delta(i, i) == as_expr(0)
 
 
 def test_tanh_family_argument_scaling_invariance():
     # scaling C2 by s while scaling coordinates by 1/s leaves E fixed
     p = demo_params()
-    base = TanhConstants.of(F(1), F(2), F(1), F(3), 1)
     s = F(5, 2)
-    scaled = TanhConstants.of(F(1), F(2) * s, F(1), F(3), 1)
-    e_base = e_tanh(p, base)
-    e_scaled = substitute(e_tanh(p, scaled), {X: X * (1 / s),
-                                              Y: Y * (1 / s)})
+    e_base = e_tanh(p, F(1), F(2), F(1), F(3), 1)
+    e_scaled = substitute(e_tanh(p, F(1), F(2) * s, F(1), F(3), 1),
+                          {X: X * (1 / s), Y: Y * (1 / s)})
     assert is_zero(e_base - e_scaled, random.Random(8))
 
 
 def test_tanh_constants_validation():
-    with pytest.raises(ValueError):
-        TanhConstants.of(F(1), F(1), F(0), F(0), 1)
-    with pytest.raises(ValueError):
-        TanhConstants.of(F(1), F(1), F(1), F(1), 4)
+    p = demo_params()
+    with pytest.raises(ValueError, match="C3 and C4 cannot both vanish"):
+        e_tanh(p, F(1), F(1), F(0), F(0), 1)
+    with pytest.raises(ValueError, match="got 4"):
+        e_tanh(p, F(1), F(1), F(1), F(1), 4)
+    # the index is checked before the constants
+    with pytest.raises(ValueError, match="got 4"):
+        e_tanh(p, F(1), F(1), F(0), F(0), 4)
 
 
 # -- characteristic-line families ---------------------------------------
@@ -97,60 +98,53 @@ def test_two_shape_family_kills_cross_delta(rng):
     p = demo_params()
     f1 = rand_univariate(rng, degree=5)
     f2 = rand_univariate(rng, degree=5)
-    fam = CharacteristicFamily(f1=f1, f2=f2, i=1, j=2)
-    e = e_characteristic(p, fam)
+    e = e_characteristic(p, [(f1, 2), (f2, 1)])
     assert ClosureEngine(p, e).delta(1, 2) == as_expr(0)
     assert ClosureEngine(p, e).delta(2, 1) == as_expr(0)
 
 
 def test_diagonal_term_normalizes_delta_to_one(rng):
     p = demo_params()
-    fam = CharacteristicFamily(f1=rand_univariate(rng),
-                               f2=rand_univariate(rng),
-                               i=1, j=2, diagonal_term=True)
-    e = e_characteristic(p, fam)
+    e = e_characteristic(p, [(rand_univariate(rng), 2),
+                             (rand_univariate(rng), 1)], diagonal=(1, 2))
     assert ClosureEngine(p, e).delta(1, 2) == as_expr(1)
 
 
 def test_three_shape_family_kills_third_order(rng):
     p = demo_params()
-    fam = CharacteristicFamily(f1=rand_univariate(rng, degree=5),
-                               f2=rand_univariate(rng, degree=5),
-                               f3=rand_univariate(rng, degree=5),
-                               i=1, j=2, k=3)
-    e = e_characteristic(p, fam)
+    e = e_characteristic(p, [(rand_univariate(rng, degree=5), line)
+                             for line in (2, 1, 3)])
     assert ClosureEngine(p, e).delta3(1, 2, 3) == as_expr(0)
 
 
 def test_family_validation():
+    p = demo_params()
     quad = X * X
-    with pytest.raises(ValueError):
-        CharacteristicFamily(f1=quad, f2=quad, i=1, j=5)
-    with pytest.raises(ValueError):
-        CharacteristicFamily(f1=quad, f2=quad, i=1, j=2, f3=quad)
-    with pytest.raises(ValueError):
-        CharacteristicFamily(f1=quad, f2=quad, i=1, j=2, k=3,
-                             diagonal_term=True)
-    with pytest.raises(ValueError):
-        CharacteristicFamily(f1=X * Y, f2=quad, i=1, j=2)
+    with pytest.raises(ValueError, match="got 5"):
+        e_characteristic(p, [(quad, 5), (quad, 1)])
+    with pytest.raises(ValueError, match="got 0"):
+        e_characteristic(p, [(quad, 2), (quad, 1)], diagonal=(0, 2))
+    with pytest.raises(ValueError, match="two-shape family"):
+        e_characteristic(p, [(quad, 2), (quad, 1), (quad, 3)],
+                         diagonal=(1, 2))
+    with pytest.raises(ValueError, match="unary"):
+        e_characteristic(p, [(X * Y, 2), (quad, 1)])
 
 
 # -- descriptors --------------------------------------------------------
 
 def test_descriptor_tanh():
     p = demo_params()
-    spec = parse_descriptor("tanh:1,2,1,3,1")
     assert descriptor_to_expr(p, "tanh:1,2,1,3,1") == \
-        e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 1))
-    assert spec is not None
+        e_tanh(p, F(1), F(2), F(1), F(3), 1)
 
 
 def test_descriptor_char_variants():
     p = demo_params()
     e = descriptor_to_expr(p, "char:1,2:x^2;x^3")
-    fam = CharacteristicFamily(f1=parse_poly("x^2"), f2=parse_poly("x^3"),
-                               i=1, j=2)
-    assert e == e_characteristic(p, fam)
+    # F1 goes on the j-line and F2 on the i-line
+    assert e == e_characteristic(p, [(parse_poly("x^2"), 2),
+                                     (parse_poly("x^3"), 1)])
     e_diag = descriptor_to_expr(p, "char:1,2,diag:x^2;x^3")
     assert e_diag != e
     e3 = descriptor_to_expr(p, "char:1,2,3:x^2;x^3;x^2+x")
@@ -174,7 +168,7 @@ def test_descriptor_expr_passthrough():
 ])
 def test_descriptor_errors(bad):
     with pytest.raises(ValueError):
-        parse_descriptor(bad) and descriptor_to_expr(demo_params(), bad)
+        descriptor_to_expr(demo_params(), bad)
 
 
 # -- grids and verification ---------------------------------------------
@@ -216,7 +210,7 @@ def test_make_grid_interpolates_where_the_span_overflows():
 
 def test_verify_candidate_flags_tanh_tension():
     p = demo_params()
-    e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 1))
+    e = e_tanh(p, F(1), F(2), F(1), F(3), 1)
     rep = verify_candidate(p, e)
     assert not rep.passed
     assert rep.tension_indices == [1]
@@ -292,7 +286,7 @@ def _walk(condition, gx, gy):
 
 def test_batch_measurement_equals_per_condition_walk(rng):
     p = rand_params(rng)
-    e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 2))
+    e = e_tanh(p, F(1), F(2), F(1), F(3), 2)
     engine = ClosureEngine(p, e)
     exprs = [engine.delta(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     exprs += [engine.lam_with(k, engine.delta(1, 2)) for k in (1, 2, 3)]
@@ -457,7 +451,7 @@ def test_check_e_fails_below_a_third_on_a_corpus(descriptor, variant):
 def test_verify_candidate_random_params(rng):
     for _ in range(2):
         p = rand_params(rng)
-        e = e_tanh(p, TanhConstants.of(F(1), F(2), F(1), F(3), 2))
+        e = e_tanh(p, F(1), F(2), F(1), F(3), 2)
         rep = verify_candidate(p, e)
         assert 2 in rep.tension_indices
         assert rep.delta[(2, 2)].max_abs <= 1e-9
