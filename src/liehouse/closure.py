@@ -16,7 +16,8 @@ controls.  Lambda uses the Leibniz rule: B is a constant field with
 [Y_k, B] = s_k B (Y_k = [f0, f_k]), so [Y_k, phi B] = (Y_k(phi) +
 phi s_k) B.  The scan decides Lambda on those Leibniz pieces,
 sum_c (Y_k)_c d_c(Delta_ij) + s_k Delta_ij (symbolic.is_zero_products):
-multiplied out and decided exactly when every factor is polynomial,
+when every factor is polynomial, read at a fixed point modulo a prime
+and multiplied out and decided exactly only when that residue is 0,
 otherwise sampled factor by factor and multiplied out only when the
 samples read zero.  The canonical form makes each scalar the same Expr
 as the literal bracket read back along B by exact division, which the
@@ -42,7 +43,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .fields import VectorField, along, apply_to_scalar, gradient
+from .fields import VectorField, along, gradient
 from .model import Params, build_fields
 from .symbolic import (
     E, ZERO, Expr, differentiate, epartial, is_zero, is_zero_products,
@@ -101,9 +102,10 @@ class ClosureEngine:
     D_k E and its gradient are cached per k (d_e); delta and
     b_drift_factor read that one gradient.  The fields are built once,
     with E = 0, so the drift read there is A + M s: f0 is it minus E B,
-    and M f_k is D_k of it, a constant vector.  The canonical form makes
-    each derived Expr equal to the one read off the literal bracket, so
-    the bracket subcommand prints y and delta.
+    and M f_k is D_k of it, a constant vector read off the gradients of
+    its three components, taken once per engine.  The canonical form
+    makes each derived Expr equal to the one read off the literal
+    bracket, so the bracket subcommand prints y and delta.
 
     grad(i, j) caches the three partials of delta(i, j) on the sorted
     pair, where delta is symmetric, so each distinct Delta_ij is
@@ -123,7 +125,7 @@ class ClosureEngine:
         self.f0 = drift - self.b.scaled(e)
         self.controls = (f1, f2, f3)
         self._e_grad = gradient(e)
-        self._e_free_drift = drift
+        self._drift_grads = tuple(gradient(c) for c in drift.components())
         self._de: dict = {}
         self._y: dict = {}
         self._drift: dict = {}
@@ -154,8 +156,7 @@ class ClosureEngine:
         got = self._y.get(k)
         if got is None:
             fk = self.control(k)
-            m_fk = VectorField(*(apply_to_scalar(fk, c)
-                                 for c in self._e_free_drift.components()))
+            m_fk = VectorField(*(along(fk, g) for g in self._drift_grads))
             got = self.b.scaled(self.d_e(k)[0]) - m_fk
             self._y[k] = got
         return got
@@ -325,7 +326,10 @@ class ClosureReport:
         return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
-        c_text = [[to_text(self.c[i][j]) for j in range(3)] for i in range(3)]
+        # c[i][j] is c[j][i], one object: render each distinct entry once
+        distinct = {id(x): x for row in self.c for x in row}
+        text = {key: to_text(x) for key, x in distinct.items()}
+        c_text = [[text[id(x)] for x in row] for row in self.c]
         delta3_fail = sorted(k for k, ok in self.delta3_zero.items() if not ok)
         lambda_fail = sorted(k for k, ok in self.lambda_zero.items() if not ok)
         return {
@@ -354,13 +358,15 @@ def check_closure(p: Params, e: Expr | None = None,
     Lambda_ijk is decided on its Leibniz pieces (ClosureEngine.lam_pieces)
     by is_zero_products, once per unordered (i, j), because the pieces
     are symmetric in i and j.  Pieces free of transcendental and
-    reciprocal atoms are multiplied out and decided exactly, drawing
-    nothing from the seed.  Otherwise the pieces are sampled without
-    being multiplied out, and only a sum they read as zero is expanded
-    and decided by is_zero, so a zero verdict is always is_zero's on the
-    expanded Lambda.  The pieces' points are drawn over their own base
-    atoms, so later draws from the seed may differ from those of
-    sampling the expanded sum alone.
+    reciprocal atoms are read at a fixed point modulo the prime 2^61 - 1:
+    a nonzero residue proves Lambda nonzero, and only a residue of 0 is
+    multiplied out and decided exactly.  Neither draws from the seed.
+    Otherwise the pieces are sampled without being multiplied out, and
+    only a sum they read as zero is expanded and decided by is_zero, so
+    a zero verdict is always is_zero's on the expanded Lambda.  The
+    pieces' points are drawn over their own base atoms, so later draws
+    from the seed may differ from those of sampling the expanded sum
+    alone.
 
     For admissible parameters f1 and f3 are independent in the (x, y)
     plane: gamma11 gamma23 - gamma13 gamma21 > 0 under the sign

@@ -62,19 +62,35 @@ def _rational(value, where: str) -> Fraction:
     return value if value.__class__ is Fraction else Fraction(value)
 
 
+def _in_float_range(text: str, literal: str) -> float | None:
+    """float(text), or None when float() does not read it.  A value
+    outside the float range (infinite as a float, or a nonzero literal
+    that rounds to 0.0) is a ValueError naming literal."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if math.isinf(value) or (
+            value == 0 and text.lower().partition("e")[0].strip("+-0._")):
+        raise ValueError(f"number {literal} is outside the float range")
+    return value
+
+
 def exact_number(text: str) -> Fraction:
     """A number literal as an exact Fraction: a JSON number, or any
     literal Fraction reads (p/q, a sign, digit underscores).  A literal
-    outside the float range (infinite as a float, or a nonzero literal
-    that rounds to 0.0) is a ValueError naming it, raised before the
-    Fraction is built: Fraction("1e99999999") would build 10**99999999."""
-    try:
-        value = float(text)
-    except ValueError:  # p/q, or no number: Fraction reads or refuses it
+    outside the float range, or a p/q with either side outside it, is a
+    ValueError naming the literal, raised before the Fraction is built:
+    Fraction("1e99999999") would build 10**99999999, and a side of more
+    than 4 300 digits would fail in int() with a message of its own."""
+    num, slash, den = text.partition("/")
+    if slash:  # each side obeys the rule; Fraction reads or refuses p/q
+        _in_float_range(num, text)
+        _in_float_range(den, text)
         return Fraction(text)
-    if math.isinf(value) or (
-            value == 0 and text.lower().partition("e")[0].strip("+-0._")):
-        raise ValueError(f"number {text} is outside the float range")
+    value = _in_float_range(text, text)
+    if value is None:  # no number: Fraction reads or refuses it
+        return Fraction(text)
     if not value:  # a zero literal may carry any exponent: 0e-99999999
         return Fraction(0)
     # an integer literal in the float range has at most 309 digits;

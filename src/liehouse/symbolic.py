@@ -30,7 +30,9 @@ without transcendental or reciprocal atoms (Laurent polynomials,
 negative powers included) this makes zero-testing a decision
 procedure; with them, is_zero falls back to seeded random evaluation,
 and is_zero_products refutes a sum of products on its unexpanded
-factors.
+factors.  On the Laurent fragment is_zero_products first reads the sum
+at one fixed point modulo the prime 2^61 - 1 (_residue) and multiplies
+the products out only when that residue is 0.
 Structural arithmetic is exact: a coefficient is an int when its
 denominator is 1 and a fractions.Fraction otherwise, and the two
 compare, hash and print alike, so the choice never shows in a result.
@@ -41,7 +43,8 @@ the term order, and a single monomial u sends m to m * u, which adds
 exponent vectors and so keeps distinct monomials distinct; those
 products are only sorted.
 Floats appear only in eval_numeric, in the programs compile_exprs
-builds, and in sampling.
+builds, and in sampling.  Atoms memoize their text and residue, and an
+expression its residue, since both are immutable.
 """
 
 from __future__ import annotations
@@ -91,16 +94,22 @@ class Atom:
     for coordinates and parameters, an (a, b) order pair for partials of
     E, a (name, Expr) pair for transcendentals, and the base Expr for
     reciprocals.  partials maps a coordinate name to the atom's
-    derivative, filled on the first lookup by differentiate.
+    derivative, filled on the first lookup by differentiate.  text
+    holds the printed text of a transcendental and the printed base of a
+    reciprocal, and residue the value of a coordinate, parameter or
+    partial of E at _residue's point; each is set on first use.
     """
 
-    __slots__ = ("kind", "data", "key", "partials", "__weakref__")
+    __slots__ = ("kind", "data", "key", "partials", "text", "residue",
+                 "__weakref__")
 
     def __init__(self, kind, data, key):
         self.kind = kind
         self.data = data
         self.key = key
         self.partials = {}
+        self.text = None
+        self.residue = None
 
     def __reduce__(self):
         # copy, deepcopy and pickle come back through the table
@@ -175,9 +184,10 @@ class Expr:
     terms is a tuple of (monomial, coefficient) sorted by monomial key,
     with nonzero coefficients, each an int or a Fraction whose
     denominator exceeds 1 (see _coef).  The empty tuple is zero.
+    _residue is unset until _residue(e) first reads it.
     """
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("terms", "_key", "_hash", "_residue")
 
     def __init__(self, terms=()):
         self.terms = terms
@@ -950,17 +960,78 @@ def is_zero(e, rng: random.Random | None = None) -> bool:
                          rng)
 
 
+# the exact branch of is_zero_products reads sums modulo this prime
+_PRIME = (1 << 61) - 1
+
+
+def _atom_residue(atom: Atom) -> int:
+    """The fixed nonzero residue of a coordinate, parameter or partial of
+    E: 3 to the power of its key's repr read as a big-endian integer,
+    modulo _PRIME.  It depends only on the key, and a power of 3 is never
+    0 modulo a prime, so every negative power has an inverse."""
+    got = atom.residue
+    if got is None:
+        got = atom.residue = pow(
+            3, int.from_bytes(repr(atom.key).encode(), "big"), _PRIME)
+    return got
+
+
+def _residue(e: Expr) -> int:
+    """e at the fixed point of _atom_residue modulo _PRIME, or -1 when a
+    coefficient's denominator is a multiple of _PRIME and has no
+    inverse; e holds no transcendental or reciprocal atom.  Cached on e,
+    since factors recur across the decisions of one scan."""
+    got = getattr(e, "_residue", None)
+    if got is None:
+        got = 0
+        for m, c in e.terms:
+            if c.__class__ is int:
+                v = c
+            else:
+                den = c.denominator % _PRIME
+                if not den:
+                    got = -1
+                    break
+                v = c.numerator * pow(den, -1, _PRIME)
+            for atom, k in m:
+                r = _atom_residue(atom)
+                v = v * (r if k == 1 else pow(r, k, _PRIME)) % _PRIME
+            got += v
+        else:
+            got %= _PRIME
+        e._residue = got
+    return got
+
+
+def _products_residue(pairs) -> int:
+    """The residue of the sum of a * b over the pairs, read off the
+    factors' residues without multiplying them out; 0 when a factor has
+    no residue."""
+    total = 0
+    for a, b in pairs:
+        ra, rb = _residue(a), _residue(b)
+        if ra < 0 or rb < 0:
+            return 0
+        total += ra * rb
+    return total % _PRIME
+
+
 def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
     """Decide whether the sum of a * b over the (a, b) pairs is
     identically zero, without multiplying the pairs out to refute it.
 
     When no factor holds a transcendental or reciprocal atom the sum is
-    expanded and decided exactly by is_zero, drawing nothing from rng.
+    a Laurent polynomial, and it is first read modulo _PRIME at the
+    fixed point of _atom_residue (Schwartz, JACM 27(4), 1980; Zippel,
+    EUROSAM 1979).  Evaluation modulo a prime is a ring map, so a
+    nonzero residue proves the sum nonzero.  A residue of 0, or a factor
+    with no residue, sends the sum to is_zero's exact decision on the
+    expansion.  Either way nothing is drawn from rng.
     Otherwise the sum is first sampled as a straight-line program
-    (Schwartz, JACM 27(4), 1980; Ibarra & Moran, JACM 30(1), 1983): at
-    each of is_zero's seeded points, drawn over the sorted union of the
-    factors' base atoms, every factor is evaluated term by term against
-    one shared memo and the products are summed.  The tolerance scale
+    (Ibarra & Moran, JACM 30(1), 1983): at each of is_zero's seeded
+    points, drawn over the sorted union of the factors' base atoms,
+    every factor is evaluated term by term against one shared memo and
+    the products are summed.  The tolerance scale
     is the largest product of the two factors' largest term magnitudes,
     so a value exceeding _SAMPLE_TOL * (1 + scale) refutes zero.  Points
     are redrawn as in is_zero, including those where scale is 0.0.
@@ -990,10 +1061,26 @@ def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
                 base_atoms(*(f for pair in pairs for f in pair)),
                 value_at, rng):
             return False
+    elif _products_residue(pairs):
+        return False
     return is_zero(add_all(a * b for a, b in pairs), rng)
 
 
 # -- printing ----------------------------------------------------------
+
+def _nested_text(atom: Atom) -> str:
+    """The text of a transcendental atom, or of a reciprocal atom's
+    base, rendered once per atom."""
+    got = atom.text
+    if got is None:
+        if atom.kind == _FUNC:
+            name, arg = atom.data
+            got = f"{name}({to_text(arg)})"
+        else:
+            got = to_text(atom.data)
+        atom.text = got
+    return got
+
 
 def _atom_text(atom: Atom) -> str:
     if atom.kind in (_VAR, _PARAM):
@@ -1004,14 +1091,13 @@ def _atom_text(atom: Atom) -> str:
             return "E"
         return "E_" + "x" * a + "y" * b
     if atom.kind == _FUNC:
-        name, arg = atom.data
-        return f"{name}({to_text(arg)})"
-    return f"({to_text(atom.data)})^-1"
+        return _nested_text(atom)
+    return f"({_nested_text(atom)})^-1"
 
 
 def _atom_power_text(atom: Atom, k: int) -> str:
     if atom.kind == _RECIP:
-        return f"({to_text(atom.data)})^-{k}"
+        return f"({_nested_text(atom)})^-{k}"
     base = _atom_text(atom)
     return base if k == 1 else f"{base}^{k}"
 

@@ -728,6 +728,23 @@ def test_tanh_constant_beyond_float_range_exit_two_at_once(
                             f"number {literal} is outside the float range\n")
 
 
+@pytest.mark.parametrize("literal", [
+    "1" * 5000 + "/3", "1" * 400 + "/3", "3/" + "1" * 400,
+    "-" + "9" * 309 + "/7"])
+def test_tanh_p_over_q_beyond_float_range_exit_two_at_once(
+        params_file, capsys, literal):
+    # each side of p/q obeys the float-range rule: a 5000-digit side used
+    # to reach int()'s digit limit, and a 400-digit one was accepted
+    start = time.perf_counter()
+    assert main(["closure", "--params", params_file,
+                 "--e", f"tanh:{literal},2,1,3,1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad tanh descriptor field: "
+                            f"number {literal} is outside the float range\n")
+
+
 @pytest.mark.parametrize("field,value", [
     ("1/3", Fraction(1, 3)), ("-2", Fraction(-2)), ("0.5", Fraction(1, 2)),
     ("1e5", Fraction(10 ** 5)), ("0e-99999999", Fraction(0))])

@@ -575,6 +575,32 @@ def test_json_number_out_of_float_range_keeps_its_message(literal):
     assert str(err.value) == f"number {literal} is outside the float range"
 
 
+@pytest.mark.parametrize("literal", [
+    "1" * 5000 + "/3", "1/" + "1" * 5000, "1" + "0" * 309 + "/2",
+    "-" + "1" * 400 + "/3", "1e99999999/3"])
+def test_p_over_q_with_a_side_out_of_float_range_names_the_literal(literal):
+    with pytest.raises(ValueError) as err:
+        model.exact_number(literal)
+    assert str(err.value) == f"number {literal} is outside the float range"
+
+
+@pytest.mark.parametrize("literal,value", [
+    ("1/3", Fraction(1, 3)), ("-2/6", Fraction(-1, 3)),
+    (" 3/4 ", Fraction(3, 4)), ("1_000/3", Fraction(1000, 3)),
+    ("9" * 308 + "/7", Fraction(int("9" * 308), 7)), ("0/5", Fraction(0)),
+])
+def test_p_over_q_in_float_range_keeps_its_exact_value(literal, value):
+    assert model.exact_number(literal) == value
+
+
+@pytest.mark.parametrize("literal,error", [
+    ("1e5/3", ValueError), ("1/2/3", ValueError), ("1/0", ZeroDivisionError),
+    ("1.5/2", ValueError)])
+def test_p_over_q_that_fraction_refuses_keeps_its_error(literal, error):
+    with pytest.raises(error):
+        model.exact_number(literal)
+
+
 @pytest.mark.parametrize("text,shown", [("true", "True"), ('"1"', "'1'"),
                                         ("null", "None"),
                                         ("[1]", "[Fraction(1, 1)]")])

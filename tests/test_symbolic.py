@@ -626,6 +626,99 @@ def test_is_zero_products_decides_polynomial_factors_exactly():
     assert rng.getstate() == state
 
 
+# Laurent factors over parameter and E-partial atoms, as in a scan on
+# Params.symbolic() with E formal
+_LAURENT_ATOMS = (X, Y, param("alpha1"), param("gamma23"), E,
+                  epartial(1, 0), epartial(0, 2))
+
+
+@st.composite
+def laurent(draw, max_terms=3):
+    e = as_expr(0)
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = as_expr(draw(rationals))
+        for atom in draw(st.lists(st.sampled_from(_LAURENT_ATOMS),
+                                  max_size=3)):
+            term = term * atom ** draw(st.sampled_from((-2, -1, 1, 2)))
+        e = e + term
+    return e
+
+
+@st.composite
+def laurent_pairs(draw):
+    pairs = draw(st.lists(st.tuples(laurent(), laurent()), max_size=3))
+    cancel = draw(st.sampled_from(("none", "swapped", "expanded")))
+    if cancel == "swapped":  # b * -a cancels each a * b: a zero sum
+        pairs += [(b, -a) for a, b in reversed(pairs)]
+    elif cancel == "expanded":  # cancels only through the products
+        pairs.append((symbolic.add_all(a * b for a, b in pairs), -1))
+    return pairs + draw(st.lists(st.tuples(laurent(), laurent()),
+                                 max_size=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_pairs())
+def test_is_zero_products_on_laurent_factors_matches_the_expansion(pairs):
+    rng = random.Random(3)
+    state = rng.getstate()
+    want = is_zero(symbolic.add_all(a * b for a, b in pairs))
+    assert is_zero_products(pairs, rng) is want
+    assert rng.getstate() == state
+
+
+def test_residue_is_a_ring_map_at_one_fixed_point():
+    p = symbolic._PRIME
+    a = X ** 2 * param("beta11") - Fraction(3, 7) * E / Y
+    b = epartial(2, 1) + Fraction(5, 4) * X ** -3
+    res = symbolic._residue
+    assert res(a * b) == res(a) * res(b) % p
+    assert res(a + b) == (res(a) + res(b)) % p
+    assert res(X * X ** -1) == 1
+    assert res(as_expr(Fraction(2, 3))) * 3 % p == 2
+    # the point hangs on the atom key alone
+    assert symbolic._atom_residue(_only_atom(X)) == \
+        pow(3, int.from_bytes(b"(0, 'x')", "big"), p)
+
+
+def test_residue_without_an_inverse_falls_through_to_the_expansion():
+    tiny = Fraction(1, symbolic._PRIME * 2)
+    assert symbolic._residue(tiny * X + Y) == -1
+    rng = random.Random(2)
+    state = rng.getstate()
+    assert is_zero_products([(tiny * X, Y), (X, -tiny * Y)], rng)
+    assert not is_zero_products([(tiny * X, Y), (X, -Y)], rng)
+    assert not is_zero_products([(tiny * X, Y)], rng)
+    assert rng.getstate() == state
+
+
+def test_nonzero_laurent_sum_is_refuted_without_a_product(monkeypatch):
+    a1 = param("alpha1")
+    pairs = [(X + a1 / Y, E - Y), (Fraction(1, 3) * epartial(1, 1), X ** -2),
+             (-(X + a1 / Y), E - Y)]
+    zero_pairs = pairs[:1] + [(E - Y, -(X + a1 / Y))]
+    products = []
+    mul = symbolic.Expr.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(symbolic.Expr, "__mul__", counting)
+    assert not is_zero_products(pairs)
+    assert products == []
+    assert is_zero_products(zero_pairs)  # residue 0: multiplied out
+    assert products
+
+
+def test_residues_are_cached_on_the_factors():
+    a = X * param("alpha2") + Y ** -1
+    assert getattr(a, "_residue", None) is None
+    assert not is_zero_products([(a, a)])
+    assert a._residue == symbolic._residue(a) > 0
+    copied = copy.copy(a)
+    assert getattr(copied, "_residue", None) is None
+
+
 def test_is_zero_sampling_cannot_be_switched_off():
     assert not is_zero(tanh(X))
     with pytest.raises(TypeError):
@@ -647,6 +740,39 @@ def test_to_text_spot_checks():
     assert to_text(epartial(2, 1)) == "E_xxy"
     assert to_text(X ** 3 * Fraction(1, 2)) == "1/2*x^3"
     assert "tanh" in to_text(tanh(X))
+
+
+def _uncached_text(e):
+    """to_text with every memoized atom text dropped first."""
+    for atom in all_atoms(e):
+        atom.text = None
+    return to_text(e)
+
+
+def test_nested_atom_text_is_rendered_once_and_unchanged():
+    inner = tanh(X * Y + Fraction(1, 3))
+    e = (as_expr(1) / (2 + tanh(inner * X - Y))) ** 2 * inner \
+        + tanh(as_expr(1) / (X + inner)) * Y ** -1 - inner ** 3
+    want = _uncached_text(e)
+    assert to_text(e) == want
+    assert parse(want) == e
+    for atom in all_atoms(e):
+        if atom.kind in (symbolic._FUNC, symbolic._RECIP):
+            assert atom.text is not None
+    t = _only_atom(inner)
+    assert t.text == "tanh(1/3 + x*y)"
+    assert to_text(as_expr(1) / (X + inner)) == "(x + tanh(1/3 + x*y))^-1"
+    assert to_text((as_expr(1) / (X + inner)) ** 3) == \
+        "(x + tanh(1/3 + x*y))^-3"
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=3, max_power=2), polys(max_terms=3, max_power=2))
+def test_nested_text_round_trips(a, b):
+    e = tanh(a + 1) * b + as_expr(1) / (3 + tanh(tanh(a) * b - 1))
+    want = _uncached_text(e)
+    assert to_text(e) == want
+    assert parse(to_text(e)) == e
 
 
 def test_all_atoms_keeps_function_and_reciprocal_atoms():
