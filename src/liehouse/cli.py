@@ -13,12 +13,13 @@ help, usage and error bytes (see build_parser).
 Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
 error (missing or malformed files, bad expressions or descriptors, an E
-with atoms other than x, y and parameters, inadmissible parameters
-outside validate, non-finite --dt, --tol, --grid or --init values, a
---grid of more than evapo.MAX_GRID_POINTS points, --steps above
-model.MAX_STEPS, singular candidates, zero tests without a finite sample
-point).  A check-e report exits 1 at every --tol below 1/3: c has rank
-at most 2, so it is nowhere within 1/3 of the identity.
+with atoms other than x, y and parameters, an E that divides by zero,
+inadmissible parameters outside validate, non-finite --dt, --tol,
+--grid or --init values, a --grid of more than evapo.MAX_GRID_POINTS
+points, --steps above model.MAX_STEPS, singular candidates, zero tests
+without a finite sample point).  A check-e report exits 1 at every
+--tol below 1/3: c has rank at most 2, so it is nowhere within 1/3 of
+the identity.
 
 bracket prints the fields, Y_k = [f0, f_k] and Delta_ij (bracket_1) as
 the closure engine derives them, directional derivatives of E; the
@@ -37,9 +38,7 @@ from .evapo import (
     default_grid, descriptor_to_expr, make_grid, verify_candidate,
 )
 from .homology import StructureMatrix, homology_report
-from .model import (
-    ControlSchedule, Params, checked_once, simulate, validate_params,
-)
+from .model import ControlSchedule, Params, simulate, validate_params
 from .symbolic import SymbolicError, to_text
 
 
@@ -52,10 +51,6 @@ def _emit_json(report: dict, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _admissible_params(args: argparse.Namespace) -> Params:
-    return checked_once(Params.from_file(args.params))
 
 
 def _parse_grid(text: str | None):
@@ -110,7 +105,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
-    p = _admissible_params(args)
+    p = Params.from_file(args.params)
     e = descriptor_to_expr(p, args.e) if args.e else None
     engine = ClosureEngine(p, e)
 
@@ -134,7 +129,7 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    p = _admissible_params(args)
+    p = Params.from_file(args.params)
     e = descriptor_to_expr(p, args.e) if args.e else None
     report = check_closure(p, e, cross_variant=args.cross,
                            seed=args.seed)
@@ -143,7 +138,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_e(args: argparse.Namespace) -> int:
-    p = _admissible_params(args)
+    p = Params.from_file(args.params)
     if not args.e:
         raise ValueError("--e is required for check-e")
     e = descriptor_to_expr(p, args.e)
@@ -171,7 +166,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    p = _admissible_params(args)
+    p = Params.from_file(args.params)
     if not args.e:
         raise ValueError("--e is required for simulate")
     e = descriptor_to_expr(p, args.e)
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
     args = _PARSERS[key].parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, SymbolicError) as err:
+    except (OSError, ValueError, ZeroDivisionError, SymbolicError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

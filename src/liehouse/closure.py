@@ -118,7 +118,8 @@ class ClosureEngine:
                  cross_variant: str = "bracket_1"):
         _check_variant(cross_variant)
         self.cross_variant = cross_variant
-        # the sign check comes before p.close, which may divide by zero
+        # build_fields makes the one sign check, and it must come before
+        # p.close, which may divide by a parameter an inadmissible p zeroes
         drift, f1, f2, f3, self.b = build_fields(p, ZERO)
         self.e_binding = None if e is None else p.close(e)
         e = E if e is None else self.e_binding

@@ -45,12 +45,16 @@ class PoleError(ValueError):
 
 def e_tanh(p: Params, c1, c2, c3, c4, i: int) -> Expr:
     """The tanh quotient candidate attached to channel i.  C3 and C4
-    may not both vanish, and gamma_1i must be nonzero (it divides the
+    may not both vanish, nor C1, C2 and C4 all (either way the
+    denominator is 0), and gamma_1i must be nonzero (it divides the
     argument); the result is constant along the i-th line."""
     _check_index(i)
     c1, c2, c3, c4 = map(Fraction, (c1, c2, c3, c4))
     if c3 == 0 and c4 == 0:
         raise ValueError("C3 and C4 cannot both vanish")
+    if c1 == 0 and c2 == 0 and c4 == 0:
+        raise ValueError("C1, C2 and C4 cannot all vanish: "
+                         "the denominator C4 + C3 tanh(C1) is then 0")
     g1 = p.gamma_entry(1, i)
     if g1 == 0:
         raise ValueError(f"gamma_1{i} must be nonzero")
@@ -72,13 +76,17 @@ def e_characteristic(p: Params, pairs: Sequence,
     pairs holds (shape, line index) pairs; a shape is an expression in
     the single formal variable x, which composition replaces by the
     line.  diagonal, the (i, j) of a two-shape family, adds
-    x^2 / (2 gamma_1i gamma_1j), whose Delta_ij is exactly 1.
+    x^2 / (2 gamma_1i gamma_1j), whose Delta_ij is exactly 1; gamma_1i
+    and gamma_1j must then be nonzero.
     """
     _check_index(*(idx for _, idx in pairs))
     if diagonal is not None:
         _check_index(*diagonal)
         if len(pairs) != 2:
             raise ValueError("diagonal_term belongs to the two-shape family")
+        for i in diagonal:
+            if p.gamma_entry(1, i) == 0:  # it divides the diagonal term
+                raise ValueError(f"gamma_1{i} must be nonzero")
     for shape, _ in pairs:
         for atom in base_atoms(shape):
             if atom.kind == _VAR and atom.data != "x":

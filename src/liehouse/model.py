@@ -139,8 +139,6 @@ class Params:
     when built with Params.symbolic() for structural identities.
     Instances compare and hash by their entries."""
 
-    _admissible = False  # set by checked_once
-
     def __init__(self, alpha1: Value, alpha2: Value, alpha3: Value,
                  beta11: Value, beta12: Value, beta13: Value,
                  beta22: Value, beta22p: Value, beta32: Value,
@@ -259,25 +257,13 @@ def validate_params(p: Params) -> list:
 
 def require_admissible(p: Params) -> None:
     """Raise InvalidParamsError when p violates the sign constraints.
-    Callers check before p.close, since a candidate E may divide by a
-    parameter that an inadmissible p sets to zero.  A p that
-    checked_once returned has passed, and is not checked again."""
-    if p._admissible:
-        return
+    The library checks here, once per call, before it closes an E over
+    p: simulate first thing, ClosureEngine through build_fields.  A
+    candidate E may divide by a parameter that an inadmissible p sets to
+    zero, so the check must come before p.close."""
     violations = validate_params(p)
     if violations:
         raise InvalidParamsError(violations)
-
-
-def checked_once(p: Params) -> Params:
-    """p after one sign check (require_admissible), marked so that the
-    library calls it then reaches (build_fields, simulate, ClosureEngine
-    and the scans that build one) do not check it again.  For an entry
-    point that must check before its own work on p, as the CLI must
-    before it reads a descriptor that divides by a gamma."""
-    require_admissible(p)
-    p._admissible = True
-    return p
 
 
 def demo_params() -> Params:
@@ -298,7 +284,8 @@ def build_fields(p: Params, e: Expr = E):
     e is written where E enters f0, along -B: the formal E atom by
     default, or a concrete evapotranspiration law (close it with
     p.close first when it names parameters).  Raises InvalidParamsError
-    when the sign constraints fail.
+    when the sign constraints fail, before any field is built: the one
+    sign check of a ClosureEngine, which closes its E after this.
     """
     require_admissible(p)
     return _fields(p, e)

@@ -17,9 +17,12 @@ import pytest
 import liehouse.cli
 from liehouse import model
 from liehouse.cli import main
-from liehouse.evapo import descriptor_to_expr, e_tanh
+from liehouse.closure import ClosureEngine, check_closure
+from liehouse.evapo import (
+    descriptor_to_expr, e_tanh, make_grid, verify_candidate,
+)
 from liehouse.homology import StructureMatrix
-from liehouse.model import Params
+from liehouse.model import ControlSchedule, Params, simulate
 
 GOOD = {
     "alpha": [1, 1.5, 0.5],
@@ -794,3 +797,72 @@ def test_each_command_checks_the_signs_once(argv, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv + ["--params", _GOLDEN_PARAMS])
     assert len(calls) == 1
+
+
+_FIELDS = {"alpha1", "alpha2", "alpha3", "beta11", "beta12", "beta13",
+           "beta22", "beta22p", "beta32", "beta33", "gamma"}
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, e: ClosureEngine(p, e),
+    lambda p, e: check_closure(p, e),
+    lambda p, e: verify_candidate(p, e, grid=make_grid(3, 3, 0.1, 0.9,
+                                                       0.1, 0.9)),
+    lambda p, e: simulate(p, e, ControlSchedule.zero(), (0.0, 0.0, 0.0),
+                          0.01, 2),
+], ids=["engine", "check_closure", "verify_candidate", "simulate"])
+def test_params_stay_a_plain_value(run):
+    # the sign check leaves no mark on p: it still holds just its
+    # fields and rebuilds into an equal instance
+    p = Params.from_file(_GOLDEN_PARAMS)
+    run(p, descriptor_to_expr(p, "tanh:1,2,1,3,1"))
+    assert set(vars(p)) == _FIELDS
+    assert Params(**vars(p)) == p
+
+
+@pytest.mark.parametrize("descriptor", [
+    "tanh:0,0,1,0,1", "expr:x/(gamma11-2)",
+])
+@pytest.mark.parametrize("command", ["bracket", "closure", "check-e",
+                                     "simulate"])
+def test_e_that_divides_by_zero_exit_two(command, descriptor, capsys):
+    assert main([command, "--params", _GOLDEN_PARAMS, "--e", descriptor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_diagonal_term_refuses_a_zero_gamma(tmp_path, capsys):
+    # the descriptor is read before the sign check, so its own guard
+    # must keep x^2 / (2 gamma_11 gamma_12) from dividing by zero
+    data = json.loads(json.dumps(GOOD))
+    data["gamma"][0][0] = 0
+    path = tmp_path / "zero_gamma.json"
+    path.write_text(json.dumps(data))
+    assert main(["closure", "--params", str(path),
+                 "--e", "char:1,2,diag:x^2;x^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "gamma" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--e", "tanh:1,2,1,3,1"],
+    ["simulate", "--e", "tanh:1,2,1,3,1", "--steps", "3"],
+], ids=lambda argv: argv[0])
+def test_cli_params_stay_a_plain_value(argv, monkeypatch):
+    seen = []
+    real = Params.from_file.__func__
+
+    def capture(cls, path):
+        seen.append(real(cls, path))
+        return seen[-1]
+
+    monkeypatch.setattr(Params, "from_file", classmethod(capture))
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv + ["--params", _GOLDEN_PARAMS])
+    [p] = seen
+    assert set(vars(p)) == _FIELDS
+    assert Params(**vars(p)) == p

@@ -12,7 +12,9 @@ The oracle shares no code with the package.
 
 Besides the goldens, seeded Laurent candidates (a full cubic, four
 polynomials, a char on polynomial shapes and two with negative powers)
-are checked under both cross variants, together with the report's c.
+are checked under both cross variants, together with the report's c,
+and one candidate whose zero Lambda sums have nonzero pieces that
+cancel.
 """
 
 import json
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from liehouse import ClosureEngine, Params, parse
 from test_golden_reports import CASES, PARAMS, run_case
 
 sympy = pytest.importorskip("sympy")
@@ -80,8 +83,8 @@ SEEDED = {
 }
 
 
-def _params():
-    raw = json.loads(Path(PARAMS).read_text(), parse_float=sympy.Rational,
+def _params(path=PARAMS):
+    raw = json.loads(Path(path).read_text(), parse_float=sympy.Rational,
                      parse_int=sympy.Rational)
     return raw["alpha"], raw["beta"], raw["gamma"]
 
@@ -159,10 +162,11 @@ def _is_laurent(e):
     return sympy.Poly(sympy.fraction(sympy.together(e))[1], X, Y).is_monomial
 
 
-def _oracle(descriptor, variant):
+def _oracle(descriptor, variant, params=PARAMS):
     """(delta3_failures, lambda_failures, b_central, scalars) from
-    literal brackets; scalars maps (i, j) to Delta_ij."""
-    alpha, beta, gamma = _params()
+    literal brackets on the parameter file params; scalars maps (i, j)
+    to Delta_ij."""
+    alpha, beta, gamma = _params(params)
     e = _e_from_descriptor(descriptor, gamma)
     f0 = (alpha[0] + beta["b11"] * X + beta["b12"] * e,
           alpha[1] + beta["b22"] * Y + beta["b22p"] * e + beta["b13"] * Z,
@@ -245,3 +249,28 @@ def test_seeded_laurent_candidates_match_literal_brackets(name, variant):
         c = sympy.sympify(report["c"][i - 1][j - 1].replace("^", "**"),
                           locals={"x": X, "y": Y})
         assert sympy.expand(c - d) == 0
+
+
+def test_zero_lambda_with_cancelling_pieces(tmp_path):
+    # with beta22 = beta11, M f_1 . grad l_1 = gamma11 gamma21 (beta22 -
+    # beta11) = 0, and E = l_1^3 has D_1 E = 0; so under bracket_1 the
+    # Lambda_ij1 with Delta_ij nonzero vanish while their x and y pieces
+    # do not: only the full sum, never a single piece, decides them
+    data = json.loads(Path(PARAMS).read_text())
+    data["beta"]["b22"] = data["beta"]["b11"]
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(data))
+    descriptor = "expr:(x + 2*y)^3"  # l_1 = x + 2 y for these gammas
+    _, text = run_case(["closure", "--params", str(params),
+                        "--e", descriptor])
+    report = json.loads(text)
+    delta3_failures, lambda_failures, b_central, _ = _oracle(
+        descriptor, "bracket_1", str(params))
+    assert report["delta3_failures"] == delta3_failures
+    assert report["lambda_failures"] == lambda_failures
+    assert report["b_central"] == b_central
+    assert len(lambda_failures) == 8
+    engine = ClosureEngine(Params.from_file(params), parse(descriptor[5:]))
+    assert any(engine.lam_pieces(i, j, k)
+               for i, j, k in product(IDX, repeat=3)
+               if [i, j, k] not in lambda_failures)
