@@ -300,10 +300,13 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
     standing for the sum of the products a * b, evaluated as
     compile_exprs evaluates it.  The grid loop is generated too: the
     largest magnitude of each distinct value, and its largest deviation
-    from each nonzero target, is a local of the sweep.  The grid is
-    swept once, in order.  The first point where some value raises an
-    arithmetic error or is not finite raises a PoleError naming that
-    point.
+    from each nonzero target, is a local of the sweep.  The sweep reads
+    the coefficients as locals, unpacked once per call; its text holds
+    none, so a candidate whose conditions differ from an earlier one's
+    only in their coefficients runs that candidate's compiled code.
+    The grid is swept once, in order.  The first point where some value
+    raises an arithmetic error or is not finite raises a PoleError
+    naming that point.
     """
     # many conditions coincide (most are 0): equal ones share a local
     low = _Lowering((var("x"), var("y")), indent=" " * 12)
@@ -318,6 +321,7 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
                 updates += _running_max(peaks[key], *key)
     source = "\n".join([
         "def sweep(grid):",
+        *low.unpack("    "),
         f"    {' = '.join(peaks.values())} = 0.0",
         "    for g0, g1 in grid:",
         "        try:",
@@ -334,7 +338,7 @@ def _measure_all(conditions: Sequence, targets: Sequence, grid: Sequence,
         *updates,
         f"    return None, ({''.join(f'{p}, ' for p in peaks.values())})",
         ""])
-    point, found = low.define(source, "sweep", isfinite=math.isfinite)(grid)
+    point, found = low.define(source, "sweep")(grid)
     if point is not None:
         raise PoleError(
             f"candidate is singular at grid point (x={point[0]}, "

@@ -49,6 +49,7 @@ expression its residue, since both are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import weakref
@@ -610,6 +611,10 @@ class _Substitution:
             out = _atom_expr(atom) if new_arg == arg else _func_expr(name, new_arg)
         elif atom.kind == _RECIP:
             new_base = self.run(atom.data)
+            if not new_base.terms:
+                raise ZeroDivisionError(
+                    f"division by zero: the denominator {to_text(atom.data)}"
+                    " is zero at the substituted values")
             out = _atom_expr(atom) if new_base == atom.data else _invert(new_base)
         else:
             out = _atom_expr(atom)
@@ -686,15 +691,18 @@ def eval_numeric(e, assignment: Mapping) -> float:
 class Program:
     """A batch of expressions lowered to one straight-line float function.
 
-    source is the generated Python text, kept for inspection.  Build with
-    compile_exprs, run with evaluate; a caller that already holds floats
-    may call run directly, as simulate's stepping loop does.
+    source is the generated Python text, kept for inspection: it names
+    each coefficient k0, k1, ..., and consts holds their float values in
+    that order.  Build with compile_exprs, run with evaluate; a caller
+    that already holds floats may call run directly, as simulate's
+    stepping loop does.
     """
 
-    __slots__ = ("source", "run")
+    __slots__ = ("source", "consts", "run")
 
-    def __init__(self, source: str, run):
+    def __init__(self, source: str, consts: tuple, run):
         self.source = source
+        self.consts = consts
         self.run = run
 
 
@@ -708,15 +716,22 @@ class _Lowering:
     Emits one assignment per transcendental or reciprocal atom, in the
     order _eval_terms first evaluates them, one per distinct power a ** k,
     and one per distinct value asked for (see value).  An expression is
-    written term by term as c * a * p * ..., summed onto 0.0 from left
+    written term by term as k * a * p * ..., summed onto 0.0 from left
     to right (over several statements when it has more than _SUM_CHUNK
     terms), so its value repeats _eval_terms's float operations exactly.
+    Each coefficient is a constant of its own, named k0, k1, ... in the
+    order written, and consts holds its float; a leading constant term c
+    is the one constant 0.0 + float(c), the value the sum starts from.
+    A coefficient beyond the float range is written float(_big[i]), so
+    it raises OverflowError at each evaluation, as in _eval_terms.
     A sum of products, given as (a, b) factor pairs, is not multiplied
     out: each distinct factor is named once, as an expression, and the
     sum is written 0.0 + fa * fb + ... from left to right.  Statements
     carry the given indent, so a caller may place them inside its own
-    loop.  The text holds only generated names, float reprs, integer
-    exponents and math function names: nothing a user typed."""
+    loop.  The text holds only generated names, integer exponents and
+    math function names: no coefficient and nothing a user typed, so
+    expressions that differ only in their coefficients lower to equal
+    text."""
 
     def __init__(self, inputs, indent: str = "    "):
         self.indent = indent
@@ -724,6 +739,7 @@ class _Lowering:
         self.powers: dict = {}
         self.values: dict = {}
         self.lines: list = []
+        self.consts: list = []
         self.unrepresentable: list = []
 
     def emit(self, name: str, code: str) -> None:
@@ -758,17 +774,28 @@ class _Lowering:
             self.powers[(base, k)] = name
         return name
 
+    def constant(self, value: float) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
     def coefficient(self, c: Fraction) -> str:
         try:
-            return repr(float(c))
+            return self.constant(float(c))
         except OverflowError:
-            # float(c) raises at each evaluation, as in _eval_terms
             self.unrepresentable.append(c)
             return f"float(_big[{len(self.unrepresentable) - 1}])"
 
     def expr(self, e: Expr) -> str:
         parts = ["0.0"]
-        for m, c in e.terms:
+        terms = e.terms
+        if terms and not terms[0][0]:
+            try:
+                # the sum starts at 0.0 + c: added once here, not per call
+                parts = [self.constant(0.0 + float(terms[0][1]))]
+                terms = terms[1:]
+            except OverflowError:
+                pass
+        for m, c in terms:
             factors = [self.coefficient(c)]
             factors.extend(self.power(atom, int(k)) for atom, k in m)
             parts.append(" * ".join(factors))
@@ -804,16 +831,36 @@ class _Lowering:
             self.values[key] = name
         return name
 
-    def define(self, source: str, name: str, **names):
-        """Run source, which holds these lines, with the math functions,
-        the unrepresentable coefficients and names in scope; return the
-        function it defines as name."""
-        namespace = {f: getattr(math, f) for f in FUNCTION_NAMES}
-        namespace["_big"] = tuple(self.unrepresentable)
-        namespace.update(names)
-        exec(compile(source, "<liehouse program>", "exec"), namespace)
-        # popped, so the function and its globals form no reference cycle
-        return namespace.pop(name)
+    def unpack(self, indent: str) -> list:
+        """The line, if any, that binds k0, k1, ... from the tuple _k."""
+        if not self.consts:
+            return []
+        return [indent + "".join(f"k{n}, " for n in range(len(self.consts)))
+                + "= _k"]
+
+    def define(self, source: str, name: str):
+        """The function name that source defines, with this lowering's
+        constants bound: source reads them as k0, k1, ... after the line
+        unpack writes, and runs with the math functions and isfinite in
+        scope.  Equal sources share one compiled code (_factory)."""
+        return _factory(source, name)(tuple(self.consts),
+                                      tuple(self.unrepresentable))
+
+
+@functools.lru_cache(maxsize=64)
+def _factory(source: str, name: str):
+    """Compile source into def _bind(_k, _big), which runs source and
+    returns its function name.  The text holds no coefficient, so
+    candidates that differ only in their coefficients share one compile
+    while their text stays among the 64 most recently used; the bound
+    keeps a long screen of many shapes at a fixed memory."""
+    body = "".join(f"    {line}\n" for line in source.splitlines())
+    namespace = {f: getattr(math, f) for f in FUNCTION_NAMES}
+    namespace["isfinite"] = math.isfinite
+    exec(compile(f"def _bind(_k, _big):\n{body}    return {name}\n",
+                 "<liehouse program>", "exec"), namespace)
+    # popped, so the factory and its globals form no reference cycle
+    return namespace.pop("_bind")
 
 
 def compile_exprs(exprs, inputs) -> Program:
@@ -824,11 +871,13 @@ def compile_exprs(exprs, inputs) -> Program:
     transcendental or reciprocal.  Every other transcendental and
     reciprocal atom, every power of an atom and every distinct
     expression is evaluated once per call however many terms and
-    expressions share it, and coefficients are converted to float once.
-    The value of an expression is exactly that of eval_numeric, bit for
-    bit.  An item given as (a, b) factor pairs evaluates to the sum of
-    the products of its factors' values, added onto 0.0 from left to
-    right; it is not multiplied out, so it may differ in the last bits
+    expressions share it, and coefficients are converted to float once,
+    when the program is built.  The program reads them from its closure,
+    so batches that differ only in their coefficients run one compiled
+    code.  The value of an expression is exactly that of eval_numeric,
+    bit for bit.  An item given as (a, b) factor pairs evaluates to the
+    sum of the products of its factors' values, added onto 0.0 from left
+    to right; it is not multiplied out, so it may differ in the last bits
     from eval_numeric of the expanded sum.  A base atom that is not an
     input raises MissingAssignmentError here, before any evaluation.
     """
@@ -836,9 +885,9 @@ def compile_exprs(exprs, inputs) -> Program:
     low = _Lowering(inputs)
     outputs = "".join(f"{low.value(e)}, " for e in exprs)
     params = ", ".join(f"v{n}" for n in range(len(inputs)))
-    source = "\n".join([f"def run({params}):", *low.lines,
+    source = "\n".join([*low.unpack(""), f"def run({params}):", *low.lines,
                         f"    return ({outputs})", ""])
-    return Program(source, low.define(source, "run"))
+    return Program(source, tuple(low.consts), low.define(source, "run"))
 
 
 def evaluate(program: Program, values) -> tuple:

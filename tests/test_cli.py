@@ -820,9 +820,13 @@ def test_params_stay_a_plain_value(run):
     assert Params(**vars(p)) == p
 
 
-@pytest.mark.parametrize("descriptor", [
-    "tanh:0,0,1,0,1", "expr:x/(gamma11-2)",
-])
+# each E's error names the denominator that is zero; the second one is
+# zero only once gamma11 = 2 is substituted
+_ZERO_DENOMINATORS = {"tanh:0,0,1,0,1": "C4 + C3 tanh(C1)",
+                      "expr:x/(gamma11-2)": "gamma11"}
+
+
+@pytest.mark.parametrize("descriptor", list(_ZERO_DENOMINATORS))
 @pytest.mark.parametrize("command", ["bracket", "closure", "check-e",
                                      "simulate"])
 def test_e_that_divides_by_zero_exit_two(command, descriptor, capsys):
@@ -831,6 +835,7 @@ def test_e_that_divides_by_zero_exit_two(command, descriptor, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert _ZERO_DENOMINATORS[descriptor] in captured.err
 
 
 def test_diagonal_term_refuses_a_zero_gamma(tmp_path, capsys):

@@ -14,7 +14,9 @@ Besides the goldens, seeded Laurent candidates (a full cubic, four
 polynomials, a char on polynomial shapes and two with negative powers)
 are checked under both cross variants, together with the report's c,
 and one candidate whose zero Lambda sums have nonzero pieces that
-cancel.
+cancel.  A seeded tanh candidate and a seeded char candidate on tanh,
+exp and sin shapes are checked under bracket_1, their c against the
+literal Delta_ij at the three points.
 """
 
 import json
@@ -72,6 +74,31 @@ def _seeded_char(seed):
     shapes = rng.sample(("x^2", "x^3", "x^3 - 2*x", "1/2*x^2 - x"), 2)
     return f"char:{i},{j}:" + ";".join(shapes)
 
+
+def _seeded_tanh(seed):
+    """tanh: text of seeded nonzero constants, with |C4| > |C3| so that
+    E has no pole, on a seeded channel."""
+    rng = random.Random(seed)
+    c1, c2 = (Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 4)))
+              * rng.choice((1, -1)) for _ in range(2))
+    c3 = Fraction(rng.choice((1, 3)), 2) * rng.choice((1, -1))
+    c4 = Fraction(rng.choice((2, 3, 5)), rng.choice((1, 2))) + abs(c3)
+    return f"tanh:{c1},{c2},{c3},{c4},{rng.choice(IDX)}"
+
+
+def _seeded_char_trig(seed):
+    """char: text of a tanh, an exp and a sin shape, each of a seeded
+    multiple of x, on the three characteristic lines in seeded order."""
+    rng = random.Random(seed)
+    lines = ",".join(map(str, rng.sample(IDX, 3)))
+    shapes = [f"{f}({rng.choice(('x', '2*x', '-x', 'x/2'))})"
+              for f in rng.sample(("tanh", "exp", "sin"), 3)]
+    return f"char:{lines}:" + ";".join(shapes)
+
+
+# decided by the mpmath walk, under bracket_1 only
+TRANSCENDENTAL = {"tanh_9": _seeded_tanh(9),
+                  "char_trig_10": _seeded_char_trig(10)}
 
 _POLY = (0, 1, 2, 3)
 SEEDED = {
@@ -249,6 +276,29 @@ def test_seeded_laurent_candidates_match_literal_brackets(name, variant):
         c = sympy.sympify(report["c"][i - 1][j - 1].replace("^", "**"),
                           locals={"x": X, "y": Y})
         assert sympy.expand(c - d) == 0
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCENDENTAL))
+def test_seeded_transcendental_candidates_match_literal_brackets(name):
+    descriptor = TRANSCENDENTAL[name]
+    code, text = run_case(["closure", "--params", PARAMS, "--e", descriptor])
+    report = json.loads(text)
+    delta3_failures, lambda_failures, b_central, scalars = _oracle(
+        descriptor, "bracket_1")
+    assert report["delta3_failures"] == delta3_failures
+    assert report["lambda_failures"] == lambda_failures
+    assert report["b_central"] == b_central
+    assert code == (0 if report["delta3_zero"] and report["lambda_zero"]
+                    and all(b_central) else 1)
+    with mpmath.workdps(50):
+        for (xn, xd), (yn, yd) in POINTS:
+            point = {X: mpmath.mpf(xn) / xd, Y: mpmath.mpf(yn) / yd}
+            for (i, j), d in scalars.items():
+                c = sympy.sympify(
+                    report["c"][i - 1][j - 1].replace("^", "**"),
+                    locals={"x": X, "y": Y})
+                assert abs(_mp_value(c - d, dict(point))) \
+                    < mpmath.mpf("1e-30")
 
 
 def test_zero_lambda_with_cancelling_pieces(tmp_path):

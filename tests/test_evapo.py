@@ -1,6 +1,7 @@
 """Candidate evapotranspiration surfaces: closed families, descriptor
 parsing, and grid verification."""
 
+import builtins
 import json
 import math
 import random
@@ -301,6 +302,42 @@ def test_batch_measurement_equals_per_condition_walk(rng):
         max_dev = max(abs(v - t) for v in vals)
         assert (m.target, m.max_abs, m.max_dev, m.passed) == (
             t, max(map(abs, vals)), max_dev, max_dev <= 1e-9)
+
+
+def test_second_candidate_of_a_family_compiles_nothing(monkeypatch):
+    # the sweep's text holds no coefficient: another parameter set of the
+    # same family reuses the compiled code and measures bit for bit
+    grid = make_grid(3, 4, 0.1, 0.9, -0.3, 0.7)
+    p = demo_params()
+    verify_candidate(p, e_tanh(p, F(1), F(2), F(1), F(3), 2), grid=grid)
+    compiles = []
+    real = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiles.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    # other alpha, beta and tanh constants; the same gamma
+    q = Params.make(alpha=[2, F(5, 4), F(3, 4)],
+                    beta={"b11": F(-3, 2), "b12": 1, "b13": F(3, 4),
+                          "b22": -2, "b22p": F(-1, 4), "b32": F(5, 2),
+                          "b33": F(-1, 2)},
+                    gamma=[[2, 1, F(1, 2)], [-1, F(-3, 2), 1]])
+    e = e_tanh(q, F(1, 2), F(3), F(-1), F(5, 2), 2)
+    report = verify_candidate(q, e, grid=grid)
+    assert compiles == []
+    engine = ClosureEngine(q, e)
+    for table, condition, target in [
+            (report.delta, engine.delta, lambda i, j: float(i == j)),
+            (report.delta3, engine.delta3, lambda *ijk: 0.0),
+            (report.lam, lambda *ijk: tuple(engine.lam_pieces(*ijk)),
+             lambda *ijk: 0.0)]:
+        for key, m in table.items():
+            vals = [_walk(condition(*key), gx, gy) for gx, gy in grid]
+            t = target(*key)
+            assert (m.max_abs, m.max_dev) == (
+                max(map(abs, vals)), max(abs(v - t) for v in vals))
 
 
 def test_sweep_is_one_generated_loop():

@@ -7,8 +7,10 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -203,6 +205,14 @@ def test_substitute_param_bindings():
     got = substitute(e, {param("beta12"): as_expr(2),
                          param("alpha1"): as_expr(Fraction(1, 2))})
     assert got == X * 2 + as_expr(Fraction(1, 2))
+
+
+def test_substitute_names_a_denominator_that_becomes_zero():
+    r = X / (param("gamma11") - 2)
+    with pytest.raises(ZeroDivisionError) as err:
+        substitute(r, {param("gamma11"): 2})
+    assert str(err.value) == ("division by zero: the denominator "
+                              "-2 + gamma11 is zero at the substituted values")
 
 
 # -- numeric evaluation -------------------------------------------------
@@ -507,6 +517,85 @@ def test_eval_numeric_matches_program_on_every_exponent(k):
     for point in [(0.3, -0.7), (-1.25, 0.5), (1.9, 1.1), (0.1, 0.0)]:
         want = [eval_numeric(e, dict(zip((X, Y), point))) for e in exprs]
         assert _bits(evaluate(program, point)) == _bits(want)
+
+
+# -- the compiled-code cache --------------------------------------------
+
+def _compiles(exprs, inputs):
+    """The program for exprs and whether building it compiled text."""
+    misses = symbolic._factory.cache_info().misses
+    program = compile_exprs(exprs, inputs)
+    return program, symbolic._factory.cache_info().misses > misses
+
+
+def test_program_text_holds_no_coefficient():
+    u = tanh(X * Fraction(2, 3) - 1)
+    first, _ = _compiles([X * 7 + u * Fraction(1, 5) + 2], (X,))
+    second, compiled = _compiles([X * 3 + u * 11 + Fraction(-9, 4)], (X,))
+    assert not compiled
+    assert second.source == first.source
+    # no float literal: each sum starts from its leading constant c,
+    # itself one constant 0.0 + c (here 2 and -1)
+    assert re.findall(r"(?<![\w.])[0-9]+\.", first.source) == []
+    assert sorted(first.consts) == sorted([2.0, 7.0, 0.2, -1.0, 2 / 3])
+
+
+def test_programs_of_one_code_keep_their_own_constants():
+    e1, e2 = X * 2 + Y * Fraction(1, 3) + 1, X * 5 - Y * 7 + 4
+    first, _ = _compiles([e1], (X, Y))
+    second, compiled = _compiles([e2], (X, Y))
+    assert not compiled
+    for point in [(0.3, -0.7), (1.5, 2.25)]:
+        assign = dict(zip((X, Y), point))
+        # the first program runs after the second was built
+        assert _bits(evaluate(first, point)) == _bits(
+            [eval_numeric(e1, assign)])
+        assert _bits(evaluate(second, point)) == _bits(
+            [eval_numeric(e2, assign)])
+
+
+def test_leading_negative_zero_constant_evaluates_like_the_walk():
+    # -1/10^400 rounds to -0.0, and 0.0 + -0.0 is 0.0: a lowering that
+    # kept -0.0 as the start of the sum would give -0.0 at x = -0.0
+    symbolic._factory.cache_clear()
+    for n in (400, 401):
+        e = X - Fraction(1, 10 ** n)
+        program, compiled = _compiles([e, e - X], (X,))
+        assert compiled == (n == 400)  # a miss, then a hit
+        for x in (-0.0, 0.0, 1.5):
+            want = [eval_numeric(u, {X: x}) for u in (e, e - X)]
+            assert _bits(evaluate(program, (x,))) == _bits(want)
+
+
+def test_unrepresentable_coefficient_raises_on_a_cache_hit():
+    for n in (400, 401):
+        program, compiled = _compiles([X * 10 ** n + Y], (X, Y))
+        if n == 401:
+            assert not compiled
+        for _ in range(2):  # at each evaluation, not only the first
+            with pytest.raises(OverflowError):
+                evaluate(program, (1.0, 2.0))
+
+
+def test_code_cache_stays_within_its_bound():
+    bound = symbolic._factory.cache_info().maxsize
+    for n in range(1, bound + 20):
+        compile_exprs([X ** n + 1], (X,))
+        assert symbolic._factory.cache_info().currsize <= bound
+    assert symbolic._factory.cache_info().currsize == bound
+
+
+def test_program_is_freed_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        program = compile_exprs([tanh(X) * 3 + X * 10 ** 400], (X,))
+        run = weakref.ref(program.run)
+        del program
+        assert run() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- zero decisions -----------------------------------------------------
