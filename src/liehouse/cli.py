@@ -2,9 +2,11 @@
 
 Subcommands: validate, bracket, closure, check-e, homology, simulate.
 Reports are JSON (CSV for simulate) with sorted keys, written to --out
-or stdout.  Every JSON report embeds the seed and, where Delta enters,
-the cross_variant in use; the simulate CSV carries neither.  Identical
-arguments give identical output bytes.
+or stdout.  closure, check-e and homology take --seed and embed it in
+their JSON reports; validate and bracket draw no random number and take
+none.  Every JSON report where Delta enters embeds the cross_variant in
+use; the simulate CSV carries neither.  Identical arguments give
+identical output bytes.
 
 A process builds the parser of each subcommand it is called with once,
 and no other, and reuses it on later calls; each has the full parser's
@@ -16,10 +18,11 @@ error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, an E that divides by zero,
 inadmissible parameters outside validate, non-finite --dt, --tol,
 --grid or --init values, a --grid of more than evapo.MAX_GRID_POINTS
-points, --steps above model.MAX_STEPS, singular candidates, zero tests
-without a finite sample point).  A check-e report exits 1 at every
---tol below 1/3: c has rank at most 2, so it is nowhere within 1/3 of
-the identity.
+points, --steps above model.MAX_STEPS, an E whose check-e conditions
+or simulate drift carry a coefficient beyond the float range, singular
+candidates, zero tests without a finite sample point).  A check-e
+report exits 1 at every --tol below 1/3: c has rank at most 2, so it is
+nowhere within 1/3 of the identity.
 
 bracket prints the fields, Y_k = [f0, f_k] and Delta_ij (bracket_1) as
 the closure engine derives them, directional derivatives of E; the
@@ -99,7 +102,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "command": "validate",
         "violations": violations,
         "valid": not violations,
-        "seed": args.seed,
     }, args.out)
     return 0 if not violations else 1
 
@@ -122,7 +124,6 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
         "delta": {f"{i}{j}": to_text(engine.delta(i, j))
                   for i in (1, 2, 3) for j in (1, 2, 3)},
         "cross_variant": "bracket_1",
-        "seed": args.seed,
     }
     _emit_json(report, args.out)
     return 0
@@ -201,9 +202,9 @@ _OUT = ("--out", {"help": "output path (default stdout)"})
 
 _COMMANDS = {
     "validate": (_cmd_validate, "check parameter signs",
-                 (_PARAMS, _SEED, _OUT)),
+                 (_PARAMS, _OUT)),
     "bracket": (_cmd_bracket, "fields and raw brackets",
-                (_PARAMS, _E, _SEED, _OUT)),
+                (_PARAMS, _E, _OUT)),
     "closure": (_cmd_closure, "full closure scan",
                 (_PARAMS, _E, _CROSS, _SEED, _OUT)),
     "check-e": (_cmd_check_e, "measure an E candidate on a grid",

@@ -41,7 +41,7 @@ multiplication table that of a two-step nilpotent algebra.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .fields import VectorField, along, gradient
 from .model import Params, build_fields
@@ -82,12 +82,12 @@ def _check_index(*indices: int) -> None:
 
 
 class ClosureEngine:
-    """Caches the model fields and the closure scalars for one
-    (params, E) pair.  e None leaves E formal in f0; otherwise e, closed
-    over the parameters (e_binding), is written where E enters f0.
-    cross_variant selects the mixed-partial coefficient of Delta_ij:
-    the bracket's own for "bracket_1", twice that for "paper_2"; every
-    operator built on Delta_ij follows that choice.
+    """The model fields and the closure scalars for one (params, E)
+    pair.  e None leaves E formal in f0; otherwise e, closed over the
+    parameters, is written where E enters f0.  cross_variant selects
+    the mixed-partial coefficient of Delta_ij: the bracket's own for
+    "bracket_1", twice that for "paper_2"; every operator built on
+    Delta_ij follows that choice.
 
     Every scalar is a directional derivative of E; no bracket is built.
     The drift is f0 = A + M s - E B with the constant vector A, the
@@ -99,20 +99,24 @@ class ClosureEngine:
         [f_i, Y_j] = (D_i D_j E) B,      Delta_ij = D_i D_j E
         [Y_k, B] = -D_B Y_k = -(D_B D_k E) B,   s_k = -D_B D_k E
 
-    D_k E and its gradient are cached per k (d_e); delta and
-    b_drift_factor read that one gradient.  The fields are built once,
-    with E = 0, so the drift read there is A + M s: f0 is it minus E B,
-    and M f_k is D_k of it, a constant vector read off the gradients of
-    its three components, taken once per engine.  The canonical form
-    makes each derived Expr equal to the one read off the literal
-    bracket, so the bracket subcommand prints y and delta.
+    The first-order tables are built once, here: D_k E and its gradient
+    for each k, Y_k, s_k and the six distinct Delta_ij, on which
+    delta(i, j) and delta(j, i) are one object.  closure and check-e
+    read every table, and bracket reads Y_k and Delta_ij.  The fields are built with E = 0, so the
+    drift read there is A + M s: f0 is it minus E B, and M f_k is D_k
+    of it, a constant vector read off the gradients of its three
+    components.  The canonical form makes each derived Expr equal to
+    the one read off the literal bracket, so the bracket subcommand
+    prints y and delta.
 
-    grad(i, j) caches the three partials of delta(i, j) on the sorted
-    pair, where delta is symmetric, so each distinct Delta_ij is
-    differentiated once per coordinate: delta3 and lam_pieces read that
-    one gradient.  The derivatives of single atoms are memoized on the
-    atoms (see symbolic), so building an engine touches no kernel
-    state."""
+    grad and delta3 stay lazy, cached per sorted pair or triple: on a
+    deep transcendental nest they cost far more than the tables (tanh
+    nested four times around x*y: the six grads take some sixteen times
+    as long as the tables, and Delta3 three more), and bracket reads
+    neither.  grad(i, j) differentiates each distinct Delta_ij once per
+    coordinate, and delta3 and lam_pieces read that one gradient.  The
+    derivatives of single atoms are memoized on the atoms (see
+    symbolic), so building an engine touches no kernel state."""
 
     def __init__(self, p: Params, e: Expr | None = None,
                  cross_variant: str = "bracket_1"):
@@ -120,73 +124,55 @@ class ClosureEngine:
         self.cross_variant = cross_variant
         # build_fields makes the one sign check, and it must come before
         # p.close, which may divide by a parameter an inadmissible p zeroes
-        drift, f1, f2, f3, self.b = build_fields(p, ZERO)
-        self.e_binding = None if e is None else p.close(e)
-        e = E if e is None else self.e_binding
+        drift, *controls, self.b = build_fields(p, ZERO)
+        e = E if e is None else p.close(e)
         self.f0 = drift - self.b.scaled(e)
-        self.controls = (f1, f2, f3)
-        self._e_grad = gradient(e)
-        self._drift_grads = tuple(gradient(c) for c in drift.components())
-        self._de: dict = {}
-        self._y: dict = {}
-        self._drift: dict = {}
-        self._delta: dict = {}
+        self.controls = tuple(controls)
+        e_grad = gradient(e)
+        drift_grads = [gradient(c) for c in drift.components()]
+        de_grads = []
+        self._y = []
+        self._s = []
+        for fk in controls:
+            dke = along(fk, e_grad)
+            de_grads.append(gradient(dke))
+            m_fk = VectorField(*(along(fk, g) for g in drift_grads))
+            self._y.append(self.b.scaled(dke) - m_fk)
+            self._s.append(-along(self.b, de_grads[-1]))
+        # paper_2 adds (g_1i g_2j + g_2i g_1j) E_xy, symmetric in (i, j)
+        e_xy = differentiate(e_grad[0], "y") \
+            if cross_variant == "paper_2" else None
+        self._delta = {}
+        for i, j in combinations_with_replacement(_INDICES, 2):
+            fi, fj = controls[i - 1], controls[j - 1]
+            d = along(fi, de_grads[j - 1])
+            if e_xy is not None:
+                d = d + (fi.cx * fj.cy + fi.cy * fj.cx) * e_xy
+            self._delta[i, j] = self._delta[j, i] = d
         self._grad: dict = {}
         self._delta3: dict = {}
-        if cross_variant == "paper_2":
-            self._e_xy = differentiate(self._e_grad[0], "y")
 
     def control(self, i: int) -> VectorField:
         _check_index(i)
         return self.controls[i - 1]
 
-    def d_e(self, k: int) -> tuple:
-        """(D_k E, gradient(D_k E)) with D_k the derivation along f_k,
-        cached."""
-        _check_index(k)
-        got = self._de.get(k)
-        if got is None:
-            dke = along(self.control(k), self._e_grad)
-            got = (dke, gradient(dke))
-            self._de[k] = got
-        return got
-
     def y(self, k: int) -> VectorField:
-        """[f0, f_k] = (D_k E) B - M f_k, cached."""
+        """[f0, f_k] = (D_k E) B - M f_k."""
         _check_index(k)
-        got = self._y.get(k)
-        if got is None:
-            fk = self.control(k)
-            m_fk = VectorField(*(along(fk, g) for g in self._drift_grads))
-            got = self.b.scaled(self.d_e(k)[0]) - m_fk
-            self._y[k] = got
-        return got
-
-    def _with_variant(self, i: int, j: int, scalar: Expr) -> Expr:
-        """scalar, plus (g_1i g_2j + g_2i g_1j) E_xy under paper_2."""
-        if self.cross_variant != "paper_2":
-            return scalar
-        fi, fj = self.control(i), self.control(j)
-        return scalar + (fi.cx * fj.cy + fi.cy * fj.cx) * self._e_xy
+        return self._y[k - 1]
 
     def delta(self, i: int, j: int) -> Expr:
         """Scalar of [f_i, [f0, f_j]] along B, D_i D_j E, read off the
-        cached gradient of D_j E.  paper_2 adds (g_1i g_2j + g_2i g_1j)
-        E_xy to it, doubling the mixed-partial coefficient, which is all
-        that sets the two variants apart.
+        gradient of D_j E.  paper_2 adds (g_1i g_2j + g_2i g_1j) E_xy to
+        it, doubling the mixed-partial coefficient, which is all that
+        sets the two variants apart.
 
-        Cached on the sorted pair: the controls are constant, so by
-        Jacobi [f_i, [f0, f_j]] - [f_j, [f0, f_i]] = [f0, [f_i, f_j]] = 0,
-        and the added paper_2 term is symmetric in (i, j) by its form."""
+        One object for (i, j) and (j, i): the controls are constant, so
+        by Jacobi [f_i, [f0, f_j]] - [f_j, [f0, f_i]] = [f0, [f_i, f_j]]
+        = 0, and the added paper_2 term is symmetric in (i, j) by its
+        form."""
         _check_index(i, j)
-        key = (i, j) if i <= j else (j, i)
-        got = self._delta.get(key)
-        if got is None:
-            i, j = key
-            got = self._with_variant(
-                i, j, along(self.control(i), self.d_e(j)[1]))
-            self._delta[key] = got
-        return got
+        return self._delta[i, j]
 
     def grad(self, i: int, j: int) -> tuple:
         """gradient(delta(i, j)), the partials in x, y and z, cached on
@@ -195,8 +181,7 @@ class ClosureEngine:
         key = (i, j) if i <= j else (j, i)
         got = self._grad.get(key)
         if got is None:
-            got = gradient(self.delta(*key))
-            self._grad[key] = got
+            got = self._grad[key] = gradient(self._delta[key])
         return got
 
     def delta3(self, i: int, j: int, k: int) -> Expr:
@@ -226,7 +211,7 @@ class ClosureEngine:
         multiplied out: the pairs ((Y_k)_c, d_c delta(i, j)) for c = x,
         y, z and (s_k, delta(i, j)) with s_k = b_drift_factor(k), each
         kept only when both factors are nonzero.  Every factor is read
-        from the caches y, grad, b_drift_factor and delta."""
+        from the tables (y, b_drift_factor, delta) or from grad."""
         _check_index(i, j, k)
         pairs = list(zip(self.y(k).components(), self.grad(i, j)))
         pairs.append((self.b_drift_factor(k), self.delta(i, j)))
@@ -241,16 +226,12 @@ class ClosureEngine:
 
     def b_drift_factor(self, k: int) -> Expr:
         """Scalar s_k with [[f0, f_k], B] = s_k B, -D_B D_k E read off
-        the cached gradient of D_k E; a nonzero value means B fails to
-        be central against the Y_k directions.  [Y_k, B] stays on the B
+        the gradient of D_k E; a nonzero value means B fails to be
+        central against the Y_k directions.  [Y_k, B] stays on the B
         line by construction (see ClosureEngine), which the Leibniz rule
         of lam_pieces and lam_with relies on."""
         _check_index(k)
-        got = self._drift.get(k)
-        if got is None:
-            got = -along(self.b, self.d_e(k)[1])
-            self._drift[k] = got
-        return got
+        return self._s[k - 1]
 
 
 def _bind_e(expr: Expr, e_binding: Expr | None) -> Expr:

@@ -30,7 +30,7 @@ from itertools import islice
 
 from .fields import VectorField
 from .symbolic import (
-    E, Expr, all_atoms, compile_exprs, param, substitute, var, _PARAM,
+    E, ZERO, Expr, all_atoms, compile_exprs, param, substitute, var, _PARAM,
 )
 
 Value = Fraction | Expr
@@ -255,17 +255,6 @@ def validate_params(p: Params) -> list:
     return violations
 
 
-def require_admissible(p: Params) -> None:
-    """Raise InvalidParamsError when p violates the sign constraints.
-    The library checks here, once per call, before it closes an E over
-    p: simulate first thing, ClosureEngine through build_fields.  A
-    candidate E may divide by a parameter that an inadmissible p sets to
-    zero, so the check must come before p.close."""
-    violations = validate_params(p)
-    if violations:
-        raise InvalidParamsError(violations)
-
-
 def demo_params() -> Params:
     """Synthetic demonstration values with the required signs.  They are
     not calibrated to any physical greenhouse."""
@@ -284,15 +273,15 @@ def build_fields(p: Params, e: Expr = E):
     e is written where E enters f0, along -B: the formal E atom by
     default, or a concrete evapotranspiration law (close it with
     p.close first when it names parameters).  Raises InvalidParamsError
-    when the sign constraints fail, before any field is built: the one
-    sign check of a ClosureEngine, which closes its E after this.
+    when the sign constraints fail, before any field is built.  This is
+    the library's one sign check: a ClosureEngine and simulate both
+    call it with e = 0, once per call, and only then close their E over
+    p and write f0 = drift - E B, since a candidate E may divide by a
+    parameter that an inadmissible p sets to zero.
     """
-    require_admissible(p)
-    return _fields(p, e)
-
-
-def _fields(p: Params, e: Expr):
-    """build_fields without the sign check."""
+    violations = validate_params(p)
+    if violations:
+        raise InvalidParamsError(violations)
     x, y, z = var("x"), var("y"), var("z")
     f0 = VectorField(
         p.alpha1 + p.beta11 * x + p.beta12 * e,
@@ -418,9 +407,9 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
     the stages in local floats.  Segment bounds are found once, before
     stepping, so that step n takes exactly the controls of
     ctrl.value_at(n * dt).  Each stage adds the controls to the compiled
-    drift one by one, in the order u1, u2, u3.
+    drift one by one, in the order u1, u2, u3.  The run arguments are
+    checked first, and the parameter signs after them (build_fields).
     """
-    require_admissible(p)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
@@ -431,7 +420,8 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
         raise ValueError("init must have three components")
     if not all(math.isfinite(v) for v in init):
         raise ValueError(f"init must be finite, got {tuple(init)}")
-    f0 = _fields(p, p.close(e_expr))[0]
+    drift, _, _, _, b = build_fields(p, ZERO)
+    f0 = drift - b.scaled(p.close(e_expr))
     program = compile_exprs(f0.components(), (var("x"), var("y"), var("z")))
 
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]

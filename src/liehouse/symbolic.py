@@ -722,8 +722,8 @@ class _Lowering:
     Each coefficient is a constant of its own, named k0, k1, ... in the
     order written, and consts holds its float; a leading constant term c
     is the one constant 0.0 + float(c), the value the sum starts from.
-    A coefficient beyond the float range is written float(_big[i]), so
-    it raises OverflowError at each evaluation, as in _eval_terms.
+    A program runs every term at every call, so a coefficient beyond the
+    float range is a ValueError once, when the program is built.
     A sum of products, given as (a, b) factor pairs, is not multiplied
     out: each distinct factor is named once, as an expression, and the
     sum is written 0.0 + fa * fb + ... from left to right.  Statements
@@ -740,7 +740,6 @@ class _Lowering:
         self.values: dict = {}
         self.lines: list = []
         self.consts: list = []
-        self.unrepresentable: list = []
 
     def emit(self, name: str, code: str) -> None:
         self.lines.append(f"{self.indent}{name} = {code}")
@@ -774,29 +773,28 @@ class _Lowering:
             self.powers[(base, k)] = name
         return name
 
-    def constant(self, value: float) -> str:
-        self.consts.append(value)
-        return f"k{len(self.consts) - 1}"
-
-    def coefficient(self, c: Fraction) -> str:
+    def constant(self, c, start: bool = False) -> str:
+        """A new constant holding float(c), or 0.0 + float(c) where c
+        starts a sum; a c beyond the float range is refused here."""
         try:
-            return self.constant(float(c))
+            value = float(c)
         except OverflowError:
-            self.unrepresentable.append(c)
-            return f"float(_big[{len(self.unrepresentable) - 1}])"
+            digits = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+            raise ValueError(
+                f"a coefficient of order 10^{math.floor(digits)} is outside "
+                f"the float range (magnitude at most about 1.8e308)") from None
+        self.consts.append(0.0 + value if start else value)
+        return f"k{len(self.consts) - 1}"
 
     def expr(self, e: Expr) -> str:
         parts = ["0.0"]
         terms = e.terms
         if terms and not terms[0][0]:
-            try:
-                # the sum starts at 0.0 + c: added once here, not per call
-                parts = [self.constant(0.0 + float(terms[0][1]))]
-                terms = terms[1:]
-            except OverflowError:
-                pass
+            # the sum starts at 0.0 + c: added once here, not per call
+            parts = [self.constant(terms[0][1], start=True)]
+            terms = terms[1:]
         for m, c in terms:
-            factors = [self.coefficient(c)]
+            factors = [self.constant(c)]
             factors.extend(self.power(atom, int(k)) for atom, k in m)
             parts.append(" * ".join(factors))
         if len(parts) <= _SUM_CHUNK + 1:
@@ -843,13 +841,12 @@ class _Lowering:
         constants bound: source reads them as k0, k1, ... after the line
         unpack writes, and runs with the math functions and isfinite in
         scope.  Equal sources share one compiled code (_factory)."""
-        return _factory(source, name)(tuple(self.consts),
-                                      tuple(self.unrepresentable))
+        return _factory(source, name)(tuple(self.consts))
 
 
 @functools.lru_cache(maxsize=64)
 def _factory(source: str, name: str):
-    """Compile source into def _bind(_k, _big), which runs source and
+    """Compile source into def _bind(_k), which runs source and
     returns its function name.  The text holds no coefficient, so
     candidates that differ only in their coefficients share one compile
     while their text stays among the 64 most recently used; the bound
@@ -857,7 +854,7 @@ def _factory(source: str, name: str):
     body = "".join(f"    {line}\n" for line in source.splitlines())
     namespace = {f: getattr(math, f) for f in FUNCTION_NAMES}
     namespace["isfinite"] = math.isfinite
-    exec(compile(f"def _bind(_k, _big):\n{body}    return {name}\n",
+    exec(compile(f"def _bind(_k):\n{body}    return {name}\n",
                  "<liehouse program>", "exec"), namespace)
     # popped, so the factory and its globals form no reference cycle
     return namespace.pop("_bind")
@@ -872,8 +869,9 @@ def compile_exprs(exprs, inputs) -> Program:
     reciprocal atom, every power of an atom and every distinct
     expression is evaluated once per call however many terms and
     expressions share it, and coefficients are converted to float once,
-    when the program is built.  The program reads them from its closure,
-    so batches that differ only in their coefficients run one compiled
+    when the program is built (one beyond the float range is a
+    ValueError then).  The program reads them from its closure, so
+    batches that differ only in their coefficients run one compiled
     code.  The value of an expression is exactly that of eval_numeric,
     bit for bit.  An item given as (a, b) factor pairs evaluates to the
     sum of the products of its factors' values, added onto 0.0 from left

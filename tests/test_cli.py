@@ -871,3 +871,35 @@ def test_cli_params_stay_a_plain_value(argv, monkeypatch):
     [p] = seen
     assert set(vars(p)) == _FIELDS
     assert Params(**vars(p)) == p
+
+
+@pytest.mark.parametrize("command", ["check-e", "simulate"])
+def test_oversized_coefficient_is_not_a_pole(command, capsys):
+    # 2 10^400 gamma11^2 in Delta_11 (and 10^400 beta12 in f0) has no
+    # float: the program refuses it when built, so check-e names no
+    # singular grid point and simulate writes no row
+    argv = [command, "--params", _GOLDEN_PARAMS, "--e", "expr:10^400*x^2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "outside the float range" in captured.err
+    assert "singular" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "bracket"])
+def test_commands_that_draw_nothing_take_no_seed(command, capsys):
+    argv = [command, "--params", _GOLDEN_PARAMS]
+    assert main(argv) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", "1"])
+    assert err.value.code == 2
+
+
+def test_simulate_reports_a_bad_dt_before_the_signs(bad_params_file, capsys):
+    # the run arguments are checked before build_fields checks the signs
+    assert main(["simulate", "--params", bad_params_file, "--e", "expr:x*y",
+                 "--dt", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dt must be positive" in err

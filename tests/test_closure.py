@@ -641,6 +641,77 @@ def test_engine_builds_the_fields_once(monkeypatch):
     assert engine.f0 == build_fields(_GOLDEN, e)[0]
 
 
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_engine_tables_differentiate_no_delta(variant, monkeypatch):
+    """The first-order tables differentiate E, the three drift
+    components and the three D_k E, each once, and nothing else: y and
+    delta, all bracket reads, build no grad (and no Delta3), which on a
+    deep transcendental nest cost far more than the tables."""
+    seen = []
+
+    def recording(phi):
+        seen.append(phi)
+        return gradient(phi)
+
+    def refuse(*args):
+        raise AssertionError("a grad was built")
+
+    monkeypatch.setattr(closure, "gradient", recording)
+    monkeypatch.setattr(ClosureEngine, "grad", refuse)
+    e = _GOLDEN.close(descriptor_to_expr(_GOLDEN, "tanh:1,2,1,3,1"))
+    engine = ClosureEngine(_GOLDEN, e, variant)
+    for i, j in product(IDX, repeat=2):
+        engine.y(i)
+        engine.delta(i, j)
+    drift = build_fields(_GOLDEN, symbolic.ZERO)[0]
+    want = [e, *drift.components(),
+            *(along(engine.control(k), gradient(e)) for k in IDX)]
+    assert sorted(map(to_text, seen)) == sorted(map(to_text, want))
+
+
+def _det(p, i, j):
+    """det(g_i, g_j) = gamma_1i gamma_2j - gamma_1j gamma_2i."""
+    g = p.gamma_entry
+    return g(1, i) * g(2, j) - g(1, j) * g(2, i)
+
+
+def assert_gamma_frame_theorem(p, e, variant):
+    """Each closure scalar is linear in each control slot, and
+    det(g_1, g_3) X(g_2) = det(g_2, g_3) X(g_1) + det(g_1, g_2) X(g_3)
+    holds for the constant vectors g_k = (gamma_1k, gamma_2k), so every
+    scalar with an index 2 is fixed by those indexed in {1, 3}.  Checked
+    as canonical equality in every slot, with no 1/det: Delta_ij (2
+    slots), Delta_ijk (3), Lambda_ijk as its summed Leibniz pieces (3)
+    and s_k (1)."""
+    engine = ClosureEngine(p, e, variant)
+
+    def lam(i, j, k):
+        return add_all(a * b for a, b in engine.lam_pieces(i, j, k))
+
+    d13, d23, d12 = _det(p, 1, 3), _det(p, 2, 3), _det(p, 1, 2)
+    for name, scalar, slots in (("delta", engine.delta, 2),
+                                ("delta3", engine.delta3, 3),
+                                ("lambda", lam, 3),
+                                ("s", engine.b_drift_factor, 1)):
+        for slot, rest in product(range(slots),
+                                  product(IDX, repeat=slots - 1)):
+            x1, x2, x3 = (scalar(*rest[:slot], m, *rest[slot:])
+                          for m in IDX)
+            assert d13 * x2 == d23 * x1 + d12 * x3, \
+                (name, variant, slot, rest)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_gamma_frame_theorem_symbolic_params_formal_e(variant):
+    assert_gamma_frame_theorem(Params.symbolic(), None, variant)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_gamma_frame_theorem_golden_params_tanh(variant):
+    assert_gamma_frame_theorem(
+        _GOLDEN, descriptor_to_expr(_GOLDEN, "tanh:1,2,1,3,1"), variant)
+
+
 # the E of every closure golden report
 _CLOSURE_GOLDEN_E = sorted({argv[argv.index("--e") + 1]
                             for argv in CASES.values()

@@ -14,9 +14,9 @@ Besides the goldens, seeded Laurent candidates (a full cubic, four
 polynomials, a char on polynomial shapes and two with negative powers)
 are checked under both cross variants, together with the report's c,
 and one candidate whose zero Lambda sums have nonzero pieces that
-cancel.  A seeded tanh candidate and a seeded char candidate on tanh,
-exp and sin shapes are checked under bracket_1, their c against the
-literal Delta_ij at the three points.
+cancel.  Two seeded tanh candidates and two seeded char candidates on
+tanh, exp and sin shapes are checked under both cross variants, their c
+against the literal Delta_ij at the three points.
 """
 
 import json
@@ -96,9 +96,10 @@ def _seeded_char_trig(seed):
     return f"char:{lines}:" + ";".join(shapes)
 
 
-# decided by the mpmath walk, under bracket_1 only
-TRANSCENDENTAL = {"tanh_9": _seeded_tanh(9),
-                  "char_trig_10": _seeded_char_trig(10)}
+# decided by the mpmath walk
+TRANSCENDENTAL = {**{f"tanh_{seed}": _seeded_tanh(seed) for seed in (9, 11)},
+                  **{f"char_trig_{seed}": _seeded_char_trig(seed)
+                     for seed in (10, 12)}}
 
 _POLY = (0, 1, 2, 3)
 SEEDED = {
@@ -278,13 +279,19 @@ def test_seeded_laurent_candidates_match_literal_brackets(name, variant):
         assert sympy.expand(c - d) == 0
 
 
-@pytest.mark.parametrize("name", sorted(TRANSCENDENTAL))
-def test_seeded_transcendental_candidates_match_literal_brackets(name):
+# bracket_1, the CLI default, keeps the bare candidate name as its id
+@pytest.mark.parametrize("name, variant", [
+    pytest.param(name, variant,
+                 id=name if variant == "bracket_1" else f"{name}-{variant}")
+    for name in sorted(TRANSCENDENTAL) for variant in VARIANTS])
+def test_seeded_transcendental_candidates_match_literal_brackets(name,
+                                                                 variant):
     descriptor = TRANSCENDENTAL[name]
-    code, text = run_case(["closure", "--params", PARAMS, "--e", descriptor])
+    code, text = run_case(["closure", "--params", PARAMS, "--e", descriptor,
+                           "--cross", variant])
     report = json.loads(text)
     delta3_failures, lambda_failures, b_central, scalars = _oracle(
-        descriptor, "bracket_1")
+        descriptor, variant)
     assert report["delta3_failures"] == delta3_failures
     assert report["lambda_failures"] == lambda_failures
     assert report["b_central"] == b_central

@@ -480,13 +480,20 @@ def test_program_pole():
     assert evaluate(program, (2.0, 4.0)) == (1.0, 0.25)
 
 
-def test_program_unrepresentable_coefficient_fails_like_the_walk():
-    e = X * 10 ** 400
-    program = compile_exprs([e], (X,))
-    with pytest.raises(OverflowError):
-        eval_numeric(e, {X: 1.0})
-    with pytest.raises(OverflowError):
-        evaluate(program, (1.0,))
+def test_program_refuses_an_unrepresentable_coefficient_at_build():
+    """The walk raises OverflowError at each evaluation.  A program runs
+    every term at every call, so it refuses the coefficient once, when it
+    is built, in one line that names the float range; a leading constant
+    is refused like any other coefficient."""
+    for e, order in ((X * 10 ** 400, 400), (X - 10 ** 400, 400),
+                     (X * Fraction(10 ** 800, 3 ** 700), 466)):
+        with pytest.raises(OverflowError):
+            eval_numeric(e, {X: 1.0})
+        with pytest.raises(ValueError, match="outside the float range") \
+                as err:
+            compile_exprs([e], (X,))
+        assert f"of order 10^{order} " in str(err.value)
+        assert "\n" not in str(err.value)
 
 
 def test_program_compiles_long_sums_bit_for_bit():
@@ -568,13 +575,16 @@ def test_leading_negative_zero_constant_evaluates_like_the_walk():
 
 
 def test_unrepresentable_coefficient_raises_on_a_cache_hit():
-    for n in (400, 401):
-        program, compiled = _compiles([X * 10 ** n + Y], (X, Y))
-        if n == 401:
-            assert not compiled
-        for _ in range(2):  # at each evaluation, not only the first
-            with pytest.raises(OverflowError):
-                evaluate(program, (1.0, 2.0))
+    # refused while lowering, before the code cache is asked: on a text
+    # never compiled (a miss) and on one already compiled (a hit)
+    symbolic._factory.cache_clear()
+    with pytest.raises(ValueError, match="outside the float range"):
+        compile_exprs([X * 10 ** 400 + Y], (X, Y))
+    _, compiled = _compiles([X * 10 + Y], (X, Y))
+    assert compiled
+    with pytest.raises(ValueError, match="outside the float range"):
+        compile_exprs([X * 10 ** 401 + Y], (X, Y))
+    assert symbolic._factory.cache_info()[:2] == (0, 1)  # hits, misses
 
 
 def test_code_cache_stays_within_its_bound():
@@ -589,7 +599,7 @@ def test_program_is_freed_without_the_cyclic_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        program = compile_exprs([tanh(X) * 3 + X * 10 ** 400], (X,))
+        program = compile_exprs([tanh(X) * 3 + X * 7 + 2], (X,))
         run = weakref.ref(program.run)
         del program
         assert run() is None
