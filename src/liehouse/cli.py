@@ -2,11 +2,11 @@
 
 Subcommands: validate, bracket, closure, check-e, homology, simulate.
 Reports are JSON (CSV for simulate) with sorted keys, written to --out
-or stdout.  closure, check-e and homology take --seed and embed it in
-their JSON reports; validate and bracket draw no random number and take
-none.  Every JSON report where Delta enters embeds the cross_variant in
-use; the simulate CSV carries neither.  Identical arguments give
-identical output bytes.
+or stdout.  validate and bracket draw no random number and take no
+--seed; the JSON reports of closure, check-e and homology embed theirs.
+Every JSON report where Delta enters embeds the cross_variant in use;
+the simulate CSV carries neither.  Identical arguments give identical
+output bytes.
 
 A process builds the parser of each subcommand it is called with once,
 and no other, and reuses it on later calls; each has the full parser's

@@ -102,12 +102,12 @@ class ClosureEngine:
     The first-order tables are built once, here: D_k E and its gradient
     for each k, Y_k, s_k and the six distinct Delta_ij, on which
     delta(i, j) and delta(j, i) are one object.  closure and check-e
-    read every table, and bracket reads Y_k and Delta_ij.  The fields are built with E = 0, so the
-    drift read there is A + M s: f0 is it minus E B, and M f_k is D_k
-    of it, a constant vector read off the gradients of its three
-    components.  The canonical form makes each derived Expr equal to
-    the one read off the literal bracket, so the bracket subcommand
-    prints y and delta.
+    read every table, and bracket reads Y_k and Delta_ij.  The fields
+    are built with E = 0, so the drift read there is A + M s: f0 is it
+    minus E B, and M f_k is D_k of it, a constant vector read off the
+    gradients of its three components.  The canonical form makes each
+    derived Expr equal to the one read off the literal bracket, so the
+    bracket subcommand prints y and delta.
 
     grad and delta3 stay lazy, cached per sorted pair or triple: on a
     deep transcendental nest they cost far more than the tables (tanh
@@ -202,8 +202,8 @@ class ClosureEngine:
         got = self._delta3.get(key)
         if got is None:
             i, j, k = key
-            got = along(self.control(k), self.grad(i, j))
-            self._delta3[key] = got
+            got = self._delta3[key] = along(self.controls[k - 1],
+                                            self.grad(i, j))
         return got
 
     def lam_pieces(self, i: int, j: int, k: int) -> list:
@@ -234,10 +234,8 @@ class ClosureEngine:
         return self._s[k - 1]
 
 
-def _bind_e(expr: Expr, e_binding: Expr | None) -> Expr:
-    if e_binding is None:
-        return expr
-    return substitute(expr, {E: e_binding})
+def _bind_e(expr: Expr, e: Expr | None) -> Expr:
+    return expr if e is None else substitute(expr, {E: e})
 
 
 def delta_ij_formula(p: Params, e: Expr | None, i: int, j: int,
@@ -374,7 +372,7 @@ def check_closure(p: Params, e: Expr | None = None,
     verdicts = {}
 
     def zero(expr: Expr) -> bool:
-        # by id: cheaper than hashing a sum; the caches keep it alive
+        # by id: cheaper than hashing a sum; the engine keeps it alive
         got = verdicts.get(id(expr))
         if got is None:
             got = verdicts[id(expr)] = is_zero(expr, rng)
