@@ -38,10 +38,12 @@ import sys
 
 from .closure import CROSS_VARIANTS, ClosureEngine, check_closure
 from .evapo import (
-    default_grid, descriptor_to_expr, make_grid, verify_candidate,
+    _GRID_BOUNDS, descriptor_to_expr, make_grid, verify_candidate,
 )
 from .homology import StructureMatrix, homology_report
-from .model import ControlSchedule, Params, simulate, validate_params
+from .model import (
+    ControlSchedule, Params, _in_float_range, simulate, validate_params,
+)
 from .symbolic import SymbolicError, to_text
 
 
@@ -58,13 +60,13 @@ def _emit_json(report: dict, out: str | None) -> None:
 
 def _parse_grid(text: str | None):
     if text is None:
-        return default_grid()
+        return None  # verify_candidate measures default_grid()
     parts = text.split(",")
     try:
         if len(parts) not in (2, 6):
             raise ValueError
         nx, ny = int(parts[0]), int(parts[1])
-        bounds = [float(s) for s in parts[2:]] or [0.1, 0.9, 0.1, 0.9]
+        bounds = [float(s) for s in parts[2:]] or _GRID_BOUNDS
     except ValueError:
         raise ValueError('--grid wants "nx,ny" or "nx,ny,x0,x1,y0,y1", '
                          f'got {text!r}') from None
@@ -79,12 +81,17 @@ def _parse_init(text: str):
     return x, y, z
 
 
+def _ctrl_int(text: str) -> int:
+    _in_float_range(text, text)  # refused as in a parameter file
+    return int(text)
+
+
 def _load_ctrl(path: str | None) -> ControlSchedule:
     if path is None:
         return ControlSchedule.zero()
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_ctrl_int)
         except json.JSONDecodeError as err:
             raise ValueError(f"control file is not valid JSON: {err}")
     if isinstance(data, dict):

@@ -169,10 +169,12 @@ def descriptor_to_expr(p: Params, descriptor: str) -> Expr:
 # -- measurement -------------------------------------------------------
 
 # A grid is materialised point by point before it is measured, and the
-# sweep runs at about 3 M condition evaluations per second (63 per
-# point), so 10**6 points is roughly 20 s.  The largest grid any golden,
-# acceptance test or benchmark op measures is 16x60 (960 points).
+# sweep runs at 4.52 M condition evaluations per second (63 per point,
+# BENCH_30.json), so 10**6 points take about 14 s.  The largest grid any
+# golden, acceptance test or benchmark op measures is 16x60 (960 points).
 MAX_GRID_POINTS = 10**6
+
+_GRID_BOUNDS = (0.1, 0.9, 0.1, 0.9)  # default_grid's x0, x1, y0, y1
 
 
 def _axis(n: int, a: float, b: float) -> list:
@@ -210,8 +212,8 @@ def make_grid(nx: int, ny: int, x0: float, x1: float,
 
 def default_grid() -> list:
     """5x5 over [0.1, 0.9]^2, away from tanh saturation and the usual
-    pole locations."""
-    return make_grid(5, 5, 0.1, 0.9, 0.1, 0.9)
+    pole locations; a --grid "nx,ny" spans the same bounds."""
+    return make_grid(5, 5, *_GRID_BOUNDS)
 
 
 class ConditionMeasurement:

@@ -296,7 +296,7 @@ def build_fields(p: Params, e: Expr = E):
 
 
 class ControlSchedule:
-    """Piecewise-constant controls: entries (t, u1, u2, u3) with t
+    """Piecewise-constant controls: float entries (t, u1, u2, u3) with t
     strictly increasing from 0; each triple holds until the next time."""
 
     def __init__(self, entries: tuple):
@@ -308,11 +308,9 @@ class ControlSchedule:
                 raise ValueError(
                     f"each control entry is [t, u1, u2, u3] of finite "
                     f"numbers, got {e!r}")
-        self.entries = entries
-        times = [float(e[0]) for e in entries]
-        # bisected by value_at; simulate finds its segment bounds
-        # from it once per run
-        self._times = times
+        self.entries = tuple(tuple(map(float, e)) for e in entries)
+        # bisected by value_at; simulate finds its segment ends from it
+        self._times = times = [e[0] for e in self.entries]
         if times[0] != 0.0:
             raise ValueError("control schedule must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -320,7 +318,7 @@ class ControlSchedule:
 
     @classmethod
     def constant(cls, u1=0.0, u2=0.0, u3=0.0) -> "ControlSchedule":
-        return cls(((0.0, float(u1), float(u2), float(u3)),))
+        return cls(((0.0, u1, u2, u3),))
 
     @classmethod
     def zero(cls) -> "ControlSchedule":
@@ -328,10 +326,7 @@ class ControlSchedule:
 
     def value_at(self, t: float):
         idx = bisect_right(self._times, t) - 1
-        if idx < 0:
-            idx = 0
-        _, u1, u2, u3 = self.entries[idx]
-        return (float(u1), float(u2), float(u3))
+        return self.entries[max(idx, 0)][1:]
 
 
 _CSV_CHUNK = 1024
@@ -371,23 +366,17 @@ MAX_STEPS = 10**6
 
 def _segment_ends(times: Sequence[float], dt: float, steps: int) -> list:
     """For each control entry, the step at which it stops applying: the
-    first n with n * dt >= the next entry's time, clamped to steps, and
+    first n with n * dt >= the next entry's time, capped at steps, and
     steps for the last entry.  Steps n with end[j - 1] <= n < end[j]
     therefore take entry j, which is what value_at(n * dt) returns: the
     same float products are compared, and n * dt never decreases as n
-    grows."""
+    grows, so one scan over n finds every end."""
     ends = []
-    lo = 0
+    n = 0
     for t in times[1:]:
-        q = t / dt
-        n = min(max(math.ceil(q), lo), steps) if q < steps else steps
-        # q is within an ulp of t / dt, so these walks take a step or two
-        while n > lo and (n - 1) * dt >= t:
-            n -= 1
         while n < steps and n * dt < t:
             n += 1
         ends.append(n)
-        lo = n
     ends.append(steps)
     return ends
 
@@ -426,10 +415,8 @@ def simulate(p: Params, e_expr: Expr, ctrl: ControlSchedule,
 
     g1 = [float(p.gamma_entry(1, i)) for i in (1, 2, 3)]
     g2 = [float(p.gamma_entry(2, i)) for i in (1, 2, 3)]
-    segments = [
-        (float(u1), float(u2), float(u3), end)
-        for (_, u1, u2, u3), end in zip(
-            ctrl.entries, _segment_ends(ctrl._times, dt, steps))]
+    segments = [(*u, end) for (_, *u), end in zip(
+        ctrl.entries, _segment_ends(ctrl._times, dt, steps))]
     times = [0.0]
     states = [tuple(float(v) for v in init)]
     diverged = _rk4(program.run, g1, g2, segments, dt, times, states)

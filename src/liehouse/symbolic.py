@@ -941,7 +941,7 @@ def _has_negative_power(e: Expr) -> bool:
 
 
 # is_zero's sampling: finite points per decision, and the tolerance on
-# |value| relative to 1 + the largest term magnitude
+# |value| relative to the largest term magnitude
 _SAMPLE_POINTS = 8
 _SAMPLE_TOL = 1e-9
 
@@ -955,10 +955,12 @@ def _sample_rational(rng: random.Random) -> float:
 def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
     """The sampling loop of is_zero and is_zero_products.  value_at maps
     a memo of the unknowns' float values to (value, scale).  A point
-    refutes zero when |value| > _SAMPLE_TOL * (1 + scale).  A point whose
-    evaluation fails or is not finite, or whose scale is 0.0 (every term
-    vanished or underflowed, so it cannot tell zero from nonzero), is
-    redrawn, at most 25 * _SAMPLE_POINTS draws in all."""
+    refutes zero when |value| > _SAMPLE_TOL * scale: the bound is
+    relative to the largest term alone, so a sum whose terms are all
+    small is not read as zero for that.  A point whose evaluation fails
+    or is not finite, or whose scale is 0.0 (every term vanished or
+    underflowed, so it cannot tell zero from nonzero), is redrawn, at
+    most 25 * _SAMPLE_POINTS draws in all."""
     good = 0
     attempts = 0
     while good < _SAMPLE_POINTS:
@@ -974,7 +976,7 @@ def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
         if not (math.isfinite(value) and math.isfinite(scale)) \
                 or scale == 0.0:
             continue
-        if abs(value) > _SAMPLE_TOL * (1.0 + scale):
+        if abs(value) > _SAMPLE_TOL * scale:
             return False
         good += 1
     return True
@@ -987,7 +989,7 @@ def is_zero(e, rng: random.Random | None = None) -> bool:
     negative powers included, and its canonical form decides exactly,
     drawing nothing from rng.  Otherwise e is sampled at _SAMPLE_POINTS
     seeded uniform rational points in [-2, 2] of its base atoms; a value
-    exceeding _SAMPLE_TOL * (1 + scale), scale being the largest term
+    exceeding _SAMPLE_TOL * scale, scale being the largest term
     magnitude at the point, refutes zero.  Non-finite points are
     redrawn, and so are points where every term is 0.0 (scale 0, as when
     exp(x)^100000 underflows): such a point is no witness of zero.  After
@@ -1080,7 +1082,7 @@ def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
     every factor is evaluated term by term against one shared memo and
     the products are summed.  The tolerance scale
     is the largest product of the two factors' largest term magnitudes,
-    so a value exceeding _SAMPLE_TOL * (1 + scale) refutes zero.  Points
+    so a value exceeding _SAMPLE_TOL * scale refutes zero.  Points
     are redrawn as in is_zero, including those where scale is 0.0.
 
     That scale cannot see cancellation between pairs: 10^12 u * y -

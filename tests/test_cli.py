@@ -716,6 +716,35 @@ def test_literal_beyond_float_range_exit_two_at_once(tmp_path, capsys,
         f"error: number {literal} is outside the float range\n"
 
 
+@pytest.mark.parametrize("literal", ["1" * 5000, "-" + "9" * 400],
+                         ids=["5000-digits", "minus-400-digits"])
+def test_ctrl_integer_beyond_float_range_exit_two_at_once(
+        params_file, tmp_path, capsys, literal):
+    # a control file's integer literals obey the parameter files' rule: a
+    # 5000-digit one used to reach int()'s digit limit
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(f"[[0, {literal}, 0, 0]]")
+    start = time.perf_counter()
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--ctrl", str(ctrl)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: number {literal} is outside the float range\n"
+
+
+def test_ctrl_integers_in_float_range_keep_their_text(params_file,
+                                                      tmp_path, capsys):
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text("[[0, 1, -2]]")
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--ctrl", str(ctrl)]) == 2
+    assert capsys.readouterr().err == (
+        "error: each control entry is [t, u1, u2, u3] of finite numbers, "
+        "got [0, 1, -2]\n")
+
+
 @pytest.mark.parametrize("literal", [
     "1e99999999", "1e99999", "-1e-99999999", "1" + "0" * 400])
 def test_tanh_constant_beyond_float_range_exit_two_at_once(

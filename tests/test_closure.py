@@ -820,3 +820,59 @@ def test_delta3_verdict_is_symmetric_under_bracket_1(descriptor):
     for ijk in product(IDX, repeat=3):
         verdicts = {report.delta3_zero[perm] for perm in permutations(ijk)}
         assert len(verdicts) == 1, (descriptor, ijk)
+
+
+# -- sampled zero verdicts do not depend on the scale of E ---------------
+
+_SCALES = (Fraction(1, 10 ** 30), Fraction(1, 10 ** 12), Fraction(-7, 3),
+           Fraction(10 ** 12))
+
+
+def _verdicts(report):
+    return report.delta3_zero, report.lambda_zero, report.b_central
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_scaling_e_keeps_every_verdict(variant):
+    """Every condition is linear in E, so k E has E's Delta3, Lambda and
+    B-centrality verdicts and k times its Delta_ij, however small k is:
+    the sampled bound is relative to the largest term."""
+    for descriptor in _CLOSURE_GOLDEN_E:
+        e = descriptor_to_expr(_GOLDEN, descriptor)
+        want = _verdicts(check_closure(_GOLDEN, e, variant))
+        engine = ClosureEngine(_GOLDEN, e, variant)
+        for k in _SCALES:
+            got = check_closure(_GOLDEN, e * k, variant)
+            assert _verdicts(got) == want, (descriptor, k)
+            scaled = ClosureEngine(_GOLDEN, e * k, variant)
+            for i, j in product(IDX, repeat=2):
+                assert scaled.delta(i, j) == engine.delta(i, j) * k, \
+                    (descriptor, k, i, j)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_a_linear_term_leaves_c_delta3_and_b_central(variant):
+    """c, Delta3 and s_k read only the second and third partials of E,
+    so k E + (a x + b y + c) has k times E's c and E's Delta3 and
+    B-centrality verdicts.  Lambda reads D_k E, so it is not compared."""
+    shift = X * Fraction(3, 2) - Y * 5 + 7
+    for descriptor in _CLOSURE_GOLDEN_E:
+        e = descriptor_to_expr(_GOLDEN, descriptor)
+        want = check_closure(_GOLDEN, e, variant)
+        for k in (1,) + _SCALES:
+            got = check_closure(_GOLDEN, e * k + shift, variant)
+            assert got.c == [[x * k for x in row] for row in want.c]
+            assert got.delta3_zero == want.delta3_zero, (descriptor, k)
+            assert got.b_central == want.b_central, (descriptor, k)
+
+
+def test_small_gammas_do_not_hide_failures():
+    """With every gamma divided by 10^4 each condition on a tanh E is
+    small, but not zero: Delta3 and Lambda still fail."""
+    data = json.loads(open(PARAMS, encoding="utf-8").read())
+    gamma = [[Fraction(g) / 10 ** 4 for g in row] for row in data["gamma"]]
+    p = Params.make(data["alpha"], data["beta"], gamma)
+    for seed in range(3):
+        report = check_closure(p, descriptor_to_expr(p, "tanh:1,2,1,3,1"),
+                               seed=seed).to_dict()
+        assert report["delta3_failures"] and report["lambda_failures"]

@@ -207,6 +207,19 @@ def test_schedule_validation():
         (1.0, 2.0, 3.0)
 
 
+def test_schedule_keeps_float_entries():
+    s = ControlSchedule(((0, 1, Fraction(1, 4), -2), (Fraction(1, 2), 3,
+                                                     0, 1)))
+    assert s.entries == ((0.0, 1.0, 0.25, -2.0), (0.5, 3.0, 0.0, 1.0))
+    assert {type(v) for e in s.entries for v in e} == {float}
+    assert type(s.value_at(0.7)[0]) is float
+    assert ControlSchedule.constant(1, 2, 3).entries == ((0.0, 1.0, 2.0,
+                                                          3.0),)
+    # constant() checks its values as any entry is checked
+    with pytest.raises(ValueError, match="finite numbers"):
+        ControlSchedule.constant("1")
+
+
 def test_schedule_lookup_with_many_entries():
     entries = tuple((0.01 * n, float(n), -float(n), 0.5 * n)
                     for n in range(200))
