@@ -869,7 +869,8 @@ def test_a_linear_term_leaves_c_delta3_and_b_central(variant):
 def test_small_gammas_do_not_hide_failures():
     """With every gamma divided by 10^4 each condition on a tanh E is
     small, but not zero: Delta3 and Lambda still fail."""
-    data = json.loads(open(PARAMS, encoding="utf-8").read())
+    with open(PARAMS, encoding="utf-8") as handle:
+        data = json.load(handle)
     gamma = [[Fraction(g) / 10 ** 4 for g in row] for row in data["gamma"]]
     p = Params.make(data["alpha"], data["beta"], gamma)
     for seed in range(3):
