@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 verification failure (closure constants not
 constant, check-e conditions not met, validate violations), 2 input
 error (missing or malformed files, bad expressions or descriptors, an E
 with atoms other than x, y and parameters, an E that divides by zero,
-inadmissible parameters outside validate, non-finite --dt, --tol,
---grid or --init values, a --grid of more than evapo.MAX_GRID_POINTS
+inadmissible parameters outside validate, non-finite --dt or --tol,
+--grid or --init values or control-file numbers outside the float range
+(model._in_float_range), a --grid of more than evapo.MAX_GRID_POINTS
 points, --steps above model.MAX_STEPS, an E whose check-e conditions
 or simulate drift carry a coefficient beyond the float range, singular
 candidates, zero tests without a finite sample point).  A check-e
@@ -70,20 +71,26 @@ def _parse_grid(text: str | None):
     except ValueError:
         raise ValueError('--grid wants "nx,ny" or "nx,ny,x0,x1,y0,y1", '
                          f'got {text!r}') from None
+    for s in parts[2:]:
+        _in_float_range(s, s)  # refused as in a parameter file
     return make_grid(nx, ny, *bounds)
 
 
 def _parse_init(text: str):
+    parts = text.split(",")
     try:
-        x, y, z = (float(s) for s in text.split(","))
+        x, y, z = (float(s) for s in parts)
     except ValueError:
         raise ValueError(f'--init wants "x,y,z", got {text!r}') from None
+    for s in parts:
+        _in_float_range(s, s)  # refused as in a parameter file
     return x, y, z
 
 
-def _ctrl_int(text: str) -> int:
-    _in_float_range(text, text)  # refused as in a parameter file
-    return int(text)
+def _ctrl_number(text: str) -> int | float:
+    # every literal is refused as in a parameter file; an int stays an int
+    value = _in_float_range(text, text)
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def _load_ctrl(path: str | None) -> ControlSchedule:
@@ -91,7 +98,8 @@ def _load_ctrl(path: str | None) -> ControlSchedule:
         return ControlSchedule.zero()
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle, parse_int=_ctrl_int)
+            data = json.load(handle, parse_float=_ctrl_number,
+                             parse_int=_ctrl_number)
         except json.JSONDecodeError as err:
             raise ValueError(f"control file is not valid JSON: {err}")
     if isinstance(data, dict):

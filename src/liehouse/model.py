@@ -71,7 +71,8 @@ def _in_float_range(text: str, literal: str) -> float | None:
     except ValueError:
         return None
     if math.isinf(value) or (
-            value == 0 and text.lower().partition("e")[0].strip("+-0._")):
+            value == 0
+            and text.strip().lower().partition("e")[0].strip("+-0._")):
         raise ValueError(f"number {literal} is outside the float range")
     return value
 

@@ -10,7 +10,9 @@ Identifiers are the coordinates x, y, z, the model parameter names
 beta33, gamma11..gamma23), and E with its partials written E_x, E_xy,
 E_xxy and so on (all x's before all y's).  Functions are tanh, exp,
 sin, cos.  Numbers are nonnegative integers or decimal literals, read
-exactly; rationals are spelled with '/' as in 3/2.  Exponents may be
+exactly, of at most sys.get_int_max_str_digits() digits (4300 by
+default); a longer one is a ParseError at its position, exponents
+included.  Rationals are spelled with '/' as in 3/2.  Exponents may be
 negative integers, e.g. x^-2; a zero base under a negative exponent is
 a division by zero.  Parentheses and function calls nest at most
 MAX_NESTING levels deep.
@@ -21,6 +23,7 @@ parse is the inverse of symbolic.to_text on canonical forms.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .symbolic import (
@@ -63,7 +66,17 @@ def _tokenize(text: str):
             bad_at = n - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        token = m.group(kind)
+        if kind == "num":
+            # refused before int() or Fraction meets the interpreter's
+            # limit on the digits of an integer string
+            digits = len(token) - ("." in token)
+            limit = sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise ParseError(f"number literal of {digits} digits "
+                                 f"exceeds the limit of {limit} digits",
+                                 m.start(kind))
+        tokens.append((kind, token, m.start(kind)))
         pos = m.end()
     return tokens
 

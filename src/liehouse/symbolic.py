@@ -28,11 +28,13 @@ atom and no module-level cache holds atoms alive.  Two expressions are
 equal exactly when their canonical forms coincide.  On the fragment
 without transcendental or reciprocal atoms (Laurent polynomials,
 negative powers included) this makes zero-testing a decision
-procedure; with them, is_zero falls back to seeded random evaluation,
-and is_zero_products refutes a sum of products on its unexpanded
-factors.  On the Laurent fragment is_zero_products first reads the sum
-at one fixed point modulo the prime 2^61 - 1 (_residue) and multiplies
-the products out only when that residue is 0.
+procedure; with them, is_zero and is_zero_products fall back to
+seeded random evaluation through one loop over factor pairs,
+_sampled_zero, which states the rule (e alone is the pair (e, 1)), so
+is_zero_products refutes a sum of products on its unexpanded factors.
+On the Laurent fragment is_zero_products first reads the sum at one
+fixed point modulo the prime 2^61 - 1 (_residue) and multiplies the
+products out only when that residue is 0.
 Structural arithmetic is exact: a coefficient is an int when its
 denominator is 1 and a fractions.Fraction otherwise, and the two
 compare, hash and print alike, so the choice never shows in a result.
@@ -940,8 +942,8 @@ def _has_negative_power(e: Expr) -> bool:
     return False
 
 
-# is_zero's sampling: finite points per decision, and the tolerance on
-# |value| relative to the largest term magnitude
+# _sampled_zero's finite points per decision, and its tolerance on
+# |value| relative to the largest product of term magnitudes
 _SAMPLE_POINTS = 8
 _SAMPLE_TOL = 1e-9
 
@@ -952,15 +954,24 @@ def _sample_rational(rng: random.Random) -> float:
     return rng.randint(-2_000_000, 2_000_000) / 1_000_000
 
 
-def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
-    """The sampling loop of is_zero and is_zero_products.  value_at maps
-    a memo of the unknowns' float values to (value, scale).  A point
-    refutes zero when |value| > _SAMPLE_TOL * scale: the bound is
-    relative to the largest term alone, so a sum whose terms are all
+def _sampled_zero(pairs, rng: random.Random) -> bool:
+    """The one sampling loop: does the sum of a * b over the factor pairs
+    read as zero?  is_zero samples e as the single pair (e, ONE).
+
+    At each point every base atom of the factors, in sorted order, takes
+    a _sample_rational draw from rng, and each factor is evaluated term
+    by term against one shared memo (a straight-line program: Ibarra &
+    Moran, JACM 30(1), 1983).  The products a * b are summed onto 0.0,
+    and the scale is the largest sa * sb, sa and sb being the factors'
+    largest term magnitudes.  A point refutes zero when |value| > _SAMPLE_TOL * scale: the bound is
+    relative to the largest product alone, so a sum whose terms are all
     small is not read as zero for that.  A point whose evaluation fails
     or is not finite, or whose scale is 0.0 (every term vanished or
-    underflowed, so it cannot tell zero from nonzero), is redrawn, at
-    most 25 * _SAMPLE_POINTS draws in all."""
+    underflowed, as when exp(x)^100000 does, so it cannot tell zero from
+    nonzero), is redrawn.  After 25 * _SAMPLE_POINTS draws without
+    _SAMPLE_POINTS good points EvaluationError is raised; after
+    _SAMPLE_POINTS good points the sum reads as zero."""
+    unknowns = base_atoms(*(f for pair in pairs for f in pair))
     good = 0
     attempts = 0
     while good < _SAMPLE_POINTS:
@@ -969,8 +980,14 @@ def _sampled_zero(unknowns, value_at, rng: random.Random) -> bool:
             raise EvaluationError(
                 "could not find enough finite sample points")
         memo = {a: _sample_rational(rng) for a in unknowns}
+        value = scale = 0.0
         try:
-            value, scale = value_at(memo)
+            for a, b in pairs:
+                va, sa = _eval_terms(a, memo)
+                vb, sb = _eval_terms(b, memo)
+                value += va * vb
+                if sa * sb > scale:
+                    scale = sa * sb
         except (ZeroDivisionError, OverflowError, ValueError):
             continue
         if not (math.isfinite(value) and math.isfinite(scale)) \
@@ -987,16 +1004,8 @@ def is_zero(e, rng: random.Random | None = None) -> bool:
 
     Without transcendental or reciprocal atoms e is a Laurent polynomial,
     negative powers included, and its canonical form decides exactly,
-    drawing nothing from rng.  Otherwise e is sampled at _SAMPLE_POINTS
-    seeded uniform rational points in [-2, 2] of its base atoms; a value
-    exceeding _SAMPLE_TOL * scale, scale being the largest term
-    magnitude at the point, refutes zero.  Non-finite points are
-    redrawn, and so are points where every term is 0.0 (scale 0, as when
-    exp(x)^100000 underflows): such a point is no witness of zero.  After
-    25 * _SAMPLE_POINTS draws EvaluationError is raised.
-    is_zero_products refutes a sum of products unexpanded with the same
-    points and tolerance, its scale being the largest product of the two
-    factors' largest term magnitudes.
+    drawing nothing from rng.  Otherwise e is sampled by _sampled_zero,
+    which states the rule, with rng (random.Random(0) when None).
     """
     e = as_expr(e)
     if not e.terms:
@@ -1005,8 +1014,7 @@ def is_zero(e, rng: random.Random | None = None) -> bool:
         return False
     if rng is None:
         rng = random.Random(0)
-    return _sampled_zero(base_atoms(e), lambda memo: _eval_terms(e, memo),
-                         rng)
+    return _sampled_zero(((e, ONE),), rng)
 
 
 # the exact branch of is_zero_products reads sums modulo this prime
@@ -1076,16 +1084,10 @@ def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
     nonzero residue proves the sum nonzero.  A residue of 0, or a factor
     with no residue, sends the sum to is_zero's exact decision on the
     expansion.  Either way nothing is drawn from rng.
-    Otherwise the sum is first sampled as a straight-line program
-    (Ibarra & Moran, JACM 30(1), 1983): at each of is_zero's seeded
-    points, drawn over the sorted union of the factors' base atoms,
-    every factor is evaluated term by term against one shared memo and
-    the products are summed.  The tolerance scale
-    is the largest product of the two factors' largest term magnitudes,
-    so a value exceeding _SAMPLE_TOL * scale refutes zero.  Points
-    are redrawn as in is_zero, including those where scale is 0.0.
+    Otherwise _sampled_zero, which states the rule, samples the pairs
+    unexpanded with rng (random.Random(0) when None).
 
-    That scale cannot see cancellation between pairs: 10^12 u * y -
+    Its scale cannot see cancellation between pairs: 10^12 u * y -
     y * (10^12 u + 1) sums to -y, far below 10^-9 of its pieces.  So a
     sum the samples read as zero is expanded after all and the verdict
     is is_zero's on the expansion, drawing further points from rng.
@@ -1095,20 +1097,7 @@ def is_zero_products(pairs, rng: random.Random | None = None) -> bool:
     if any(has_transcendental(f) for pair in pairs for f in pair):
         if rng is None:
             rng = random.Random(0)
-
-        def value_at(memo):
-            value = scale = 0.0
-            for a, b in pairs:
-                va, sa = _eval_terms(a, memo)
-                vb, sb = _eval_terms(b, memo)
-                value += va * vb
-                if sa * sb > scale:
-                    scale = sa * sb
-            return value, scale
-
-        if not _sampled_zero(
-                base_atoms(*(f for pair in pairs for f in pair)),
-                value_at, rng):
+        if not _sampled_zero(pairs, rng):
             return False
     elif _products_residue(pairs):
         return False

@@ -160,13 +160,13 @@ def test_check_e_oversized_grid_exit_two_before_allocating(capsys):
 
 @pytest.mark.parametrize("e", ["expr:x*y", "expr:x^2*y"])
 def test_check_e_overflowing_grid_exit_two(params_file, capsys, e):
-    # the bound 1e309 overflows to inf when read; finite bounds whose
+    # the bound 1e309 is beyond the float range; finite bounds whose
     # span overflows are measured (next test)
     assert main(["check-e", "--params", params_file, "--e", e,
                  "--grid", "3,3,1e309,-1e308,0,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: grid bounds must be finite\n"
+    assert captured.err == "error: number 1e309 is outside the float range\n"
 
 
 def test_check_e_grid_whose_span_overflows(params_file, capsys):
@@ -320,21 +320,26 @@ def test_simulate_truncated_ctrl_names_the_file(params_file, tmp_path,
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", [
-    "[5]",
-    '[[0, "nan", 0, 0]]',
-    "[[0, 1e400, 0, 0]]",
-])
+_BAD_ENTRY = "error: each control entry is [t, u1, u2, u3] of finite numbers"
+
+
+@pytest.mark.parametrize("text, err", [
+    pytest.param(text, err, id=text) for text, err in (
+        ("[5]", _BAD_ENTRY),
+        ('[[0, "nan", 0, 0]]', _BAD_ENTRY),
+        # a float literal beyond the float range is refused when read
+        ("[[0, 1e400, 0, 0]]",
+         "error: number 1e400 is outside the float range\n"),
+    )])
 def test_simulate_bad_ctrl_entries_exit_two(params_file, tmp_path, capsys,
-                                            text):
+                                            text, err):
     ctrl = tmp_path / "ctrl.json"
     ctrl.write_text(text)
     assert main(["simulate", "--params", params_file, "--e", "expr:0",
                  "--ctrl", str(ctrl)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: each control entry is [t, u1, u2, u3] of finite numbers")
+    assert captured.err.startswith(err)
     assert captured.err.count("\n") == 1
 
 
@@ -732,6 +737,75 @@ def test_ctrl_integer_beyond_float_range_exit_two_at_once(
     assert captured.out == ""
     assert captured.err == \
         f"error: number {literal} is outside the float range\n"
+
+
+@pytest.mark.parametrize("literal", ["1e-400", "-2e-324", "1e400",
+                                     "-1E+99999999"])
+def test_ctrl_float_beyond_float_range_exit_two(params_file, tmp_path,
+                                                capsys, literal):
+    # a control file's float literals obey the same rule: 1e-400 used to
+    # be read as a control of 0.0, and 1e400 as inf
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(f"[[0, {literal}, 0, 0]]")
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--ctrl", str(ctrl)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: number {literal} is outside the float range\n"
+
+
+def test_ctrl_floats_in_float_range_keep_their_values(params_file,
+                                                      tmp_path, capsys):
+    # zeros with any exponent, tiny normals and subnormals are in range
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text("[[0, 0e-999, -0.0, 5e-324], [1e-300, 1.5, 2E3, -0]]")
+    assert liehouse.cli._load_ctrl(str(ctrl)).entries == (
+        (0.0, 0.0, -0.0, 5e-324), (1e-300, 1.5, 2000.0, 0.0))
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--steps", "2", "--ctrl", str(ctrl)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (["simulate", "--e", "expr:0", "--init=1e-400,0,0"], "1e-400"),
+    (["simulate", "--e", "expr:0", "--init=0,-1e309,0"], "-1e309"),
+    (["check-e", "--e", "expr:x*y", "--grid", "2,2,1e-400,1,0,1"],
+     "1e-400"),
+    (["check-e", "--e", "expr:x*y", "--grid", "2,2,0,1,0,2e-999"],
+     "2e-999"),
+])
+def test_option_float_beyond_float_range_exit_two(params_file, capsys, argv,
+                                                  literal):
+    # --init and the --grid bounds follow the rule too: 1e-400 used to
+    # be read as 0.0
+    assert main(argv[:1] + ["--params", params_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: number {literal} is outside the float range\n"
+
+
+def test_option_floats_with_spaces_and_zeros_are_read(params_file, capsys):
+    assert main(["simulate", "--params", params_file, "--e", "expr:0",
+                 "--steps", "1", "--init= 0, -0e-999 ,0.0 "]) == 0
+    assert main(["check-e", "--params", params_file, "--e", "expr:x*y",
+                 "--grid", "2,2, 0e-400,1,0 ,1"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("e", ["expr:" + "1" * 5000 + "*x",
+                               "expr:x*1." + "1" * 5000],
+                         ids=["5000-digit-integer", "5000-digit-decimal"])
+def test_expr_literal_beyond_the_digit_limit_exit_two(params_file, capsys,
+                                                      e):
+    # refused by the parser with a position, not by int()'s digit limit
+    assert main(["closure", "--params", params_file, "--e", e]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: position ")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_ctrl_integers_in_float_range_keep_their_text(params_file,

@@ -712,6 +712,23 @@ def test_gamma_frame_theorem_golden_params_tanh(variant):
         _GOLDEN, descriptor_to_expr(_GOLDEN, "tanh:1,2,1,3,1"), variant)
 
 
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@pytest.mark.parametrize("draw", range(10))
+def test_gamma_frame_theorem_on_random_params_formal_e(draw, variant):
+    assert_gamma_frame_theorem(rand_params(random.Random(draw)), None,
+                               variant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(descriptors(), st.sampled_from(CROSS_VARIANTS),
+       st.integers(0, 2 ** 32 - 1))
+def test_gamma_frame_theorem_on_random_params_and_a_corpus(descriptor,
+                                                           variant, seed):
+    p = rand_params(random.Random(seed))
+    assert_gamma_frame_theorem(p, descriptor_to_expr(p, descriptor),
+                               variant)
+
+
 # the E of every closure golden report
 _CLOSURE_GOLDEN_E = sorted({argv[argv.index("--e") + 1]
                             for argv in CASES.values()
@@ -832,22 +849,33 @@ def _verdicts(report):
     return report.delta3_zero, report.lambda_zero, report.b_central
 
 
-@pytest.mark.parametrize("variant", CROSS_VARIANTS)
-def test_scaling_e_keeps_every_verdict(variant):
+def assert_scaling_e_keeps_every_verdict(descriptor, variant):
     """Every condition is linear in E, so k E has E's Delta3, Lambda and
     B-centrality verdicts and k times its Delta_ij, however small k is:
     the sampled bound is relative to the largest term."""
+    e = descriptor_to_expr(_GOLDEN, descriptor)
+    want = _verdicts(check_closure(_GOLDEN, e, variant))
+    engine = ClosureEngine(_GOLDEN, e, variant)
+    for k in _SCALES:
+        got = check_closure(_GOLDEN, e * k, variant)
+        assert _verdicts(got) == want, (descriptor, k)
+        scaled = ClosureEngine(_GOLDEN, e * k, variant)
+        for i, j in product(IDX, repeat=2):
+            assert scaled.delta(i, j) == engine.delta(i, j) * k, \
+                (descriptor, k, i, j)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+def test_scaling_e_keeps_every_verdict(variant):
     for descriptor in _CLOSURE_GOLDEN_E:
-        e = descriptor_to_expr(_GOLDEN, descriptor)
-        want = _verdicts(check_closure(_GOLDEN, e, variant))
-        engine = ClosureEngine(_GOLDEN, e, variant)
-        for k in _SCALES:
-            got = check_closure(_GOLDEN, e * k, variant)
-            assert _verdicts(got) == want, (descriptor, k)
-            scaled = ClosureEngine(_GOLDEN, e * k, variant)
-            for i, j in product(IDX, repeat=2):
-                assert scaled.delta(i, j) == engine.delta(i, j) * k, \
-                    (descriptor, k, i, j)
+        assert_scaling_e_keeps_every_verdict(descriptor, variant)
+
+
+@pytest.mark.parametrize("variant", CROSS_VARIANTS)
+@settings(max_examples=30, deadline=None)
+@given(descriptors())
+def test_scaling_e_keeps_every_verdict_on_a_corpus(variant, descriptor):
+    assert_scaling_e_keeps_every_verdict(descriptor, variant)
 
 
 @pytest.mark.parametrize("variant", CROSS_VARIANTS)

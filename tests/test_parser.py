@@ -1,5 +1,7 @@
 """Grammar round-trips and position-annotated failures."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -138,3 +140,23 @@ def test_nesting_bound():
         with pytest.raises(ParseError) as err:
             parse(deeper)
         assert f"nesting deeper than {MAX_NESTING} levels" in str(err.value)
+
+
+def test_number_literals_within_the_digit_limit():
+    # int() refuses a string of more digits than sys.get_int_max_str_digits()
+    # allows; the parser refuses such a literal first, naming its position
+    # and its digit count, and any Fraction or power of a shorter one is read
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts int strings of any length")
+    ones = "1" * (limit + 1)
+    for text, pos, digits in ((ones + "*x", 0, limit + 1),
+                              ("x*1." + ones, 2, limit + 2),
+                              ("x^" + ones, 2, limit + 1),
+                              ("y + 0." + "0" * limit, 4, limit + 1)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == pos
+        assert f"of {digits} digits" in str(err.value)
+    assert parse("1" * limit) == as_expr(int("1" * limit))
+    assert parse("10^4999") == as_expr(10 ** 4999)

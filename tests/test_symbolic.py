@@ -716,6 +716,19 @@ def test_is_zero_products_matches_the_expanded_sum():
         assert is_zero_products(pairs, random.Random(5)) is want
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11, 2 ** 40 + 5])
+def test_is_zero_is_the_single_pair_of_is_zero_products(seed):
+    # one sampling loop: e alone is the pair (e, 1), drawing the same
+    # points and reaching the same verdict
+    for e in (tanh(X) * Y, exp(X) - 1 - X, sin(X * Y) / (2 + X * X),
+              Fraction(1, 10 ** 30) * cos(X - Y) * E,
+              tanh(X + Y) ** 2 + (1 - tanh(X)) * param("gamma12")):
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert is_zero(e, rng) is False
+        assert is_zero_products([(e, 1)], twin) is False
+        assert rng.getstate() == twin.getstate(), e
+
+
 def test_is_zero_products_decides_polynomial_factors_exactly():
     rng = random.Random(4)
     state = rng.getstate()
